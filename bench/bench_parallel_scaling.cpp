@@ -12,6 +12,8 @@
 //
 // hardware_concurrency is recorded next to the numbers: speedups flatten
 // at the physical core count, so a 1-core CI box honestly reports ~1.0x.
+// Any MISMATCH line makes the binary exit 1 (after writing the JSON), so a
+// smoke run enforces the byte identity, not just prints it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -115,6 +117,7 @@ int main(int argc, char** argv) {
               conversations, repeats, hw);
 
   std::string samples;
+  bool mismatch = false;
 
   // ---------------------------------------------------------- probe ingest
   const auto frames = make_traffic_mix(conversations);
@@ -160,6 +163,7 @@ int main(int argc, char** argv) {
     Sample s{"probe_sharded", shards, best, static_cast<double>(frames.size()) / best,
              serial_probe_s / best, merged_bytes == probe_golden};
     append_json(samples, s);
+    mismatch |= !s.deterministic;
     std::printf("  probe %zu shard(s):  %8.0f frames/s  speedup %.2fx  %s\n", shards,
                 s.items_per_sec, s.speedup, s.deterministic ? "bit-identical" : "MISMATCH");
   }
@@ -208,6 +212,7 @@ int main(int argc, char** argv) {
              static_cast<double>(golden.scan.records_delivered) / best, serial_agg_s / best,
              same};
     append_json(samples, s);
+    mismatch |= !same;
     std::printf("  aggregate %zu thr:   %8.0f records/s  speedup %.2fx  %s\n", threads,
                 s.items_per_sec, s.speedup, same ? "identical" : "MISMATCH");
   }
@@ -227,6 +232,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out_path.c_str());
   } else {
     std::printf("could not write %s\n", out_path.c_str());
+    return 1;
+  }
+  if (mismatch) {
+    std::printf("FAILED: a parallel configuration differs from serial\n");
     return 1;
   }
   return 0;

@@ -1,10 +1,12 @@
-// Bounded single-producer/single-consumer ring queue: the handoff between
-// the ShardedProbe's feeder thread (one per probe) and each shard worker.
-// The fast path is lock-free — head and tail are monotonically increasing
-// counters with acquire/release pairing, so a push and its matching pop
-// synchronize without a mutex. Blocking push gives natural backpressure:
-// when a shard falls behind, the feeder stalls instead of growing an
-// unbounded backlog (a probe must bound memory, paper §2.1).
+// Bounded single-producer/single-consumer ring queue. The ShardedProbe uses
+// two per shard: one carries bursts of frames (and control items) from the
+// feeder thread to the shard worker, the other returns drained bursts so
+// the feeder can reuse their buffers. The fast path is lock-free — head
+// and tail are monotonically increasing counters with acquire/release
+// pairing, so a push and its matching pop synchronize without a mutex.
+// Blocking push and pop give natural backpressure: when a consumer falls
+// behind, its producer stalls instead of growing an unbounded backlog (a
+// probe must bound memory, paper §2.1).
 //
 // The slow (blocking) path parks on a condition variable after a bounded
 // spin. Wakeup correctness is the Dekker pattern: the waiter stores its

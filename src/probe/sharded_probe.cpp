@@ -1,6 +1,7 @@
 #include "probe/sharded_probe.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace edgewatch::probe {
 
@@ -27,9 +28,19 @@ ShardedProbe::ShardedProbe(ShardedProbeConfig config) : config_(std::move(config
   shard_config.flow.max_flows =
       std::max<std::size_t>(1, config_.probe.flow.max_flows / config_.shards);
 
+  capacity_ = std::bit_ceil(std::max<std::size_t>(2, config_.queue_capacity));
+  // A quarter of the capacity lets the feeder stage the next burst while a
+  // worker still holds earlier ones, so small rings keep frame-grained
+  // pipelining (and the supervisor its shedding window).
+  burst_limit_ = std::clamp<std::size_t>(capacity_ / 4, 1, kBurstFrames);
+
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>(config_.queue_capacity);
+    // Every ringed burst holds at least one unstarted frame, so the ring
+    // never holds more than capacity_ bursts; with the staged and the
+    // in-process burst that is every burst a shard ever allocates, so the
+    // worker's recycle push cannot find the recycle ring full.
+    auto shard = std::make_unique<Shard>(capacity_, capacity_ + 2);
     Shard* raw = shard.get();
     // Batch-buffering sink: the worker appends locally, no cross-thread
     // call per record; the merge happens once, at finish().
@@ -90,6 +101,54 @@ std::size_t ShardedProbe::shard_of(const net::Frame& frame) const noexcept {
   return core::IPv4AddressHash{}(key) % shards_.size();
 }
 
+bool ShardedProbe::has_room(Shard& shard) noexcept {
+  const std::size_t staged = shard.staged ? shard.staged->size : 0;
+  if (staged == burst_limit_) return false;  // a full burst the ring refused
+  const std::uint64_t pushed = shard.pushed.load(std::memory_order_relaxed);
+  if (staged + (pushed - shard.started_seen) < capacity_) return true;
+  // The cached start count only lags: re-read it before calling it full.
+  shard.started_seen = shard.started.load(std::memory_order_acquire);
+  return staged + (pushed - shard.started_seen) < capacity_;
+}
+
+void ShardedProbe::stage(Shard& shard, const net::Frame& frame) {
+  if (!shard.staged) {
+    if (auto recycled = shard.recycle.try_pop()) {
+      shard.staged = std::move(*recycled);
+    } else {
+      shard.staged = std::make_unique<Burst>();
+    }
+  }
+  Burst& burst = *shard.staged;
+  if (burst.size == burst.frames.size()) {
+    burst.frames.emplace_back();
+    burst.seqs.push_back(0);
+  }
+  burst.seqs[burst.size] = next_seq_++;
+  net::Frame& slot = burst.frames[burst.size];
+  slot.timestamp = frame.timestamp;
+  slot.data.assign(frame.data.begin(), frame.data.end());
+  if (++burst.size == burst_limit_) flush(shard, /*block=*/false);
+}
+
+void ShardedProbe::flush(Shard& shard, bool block) {
+  if (!shard.staged || shard.staged->size == 0) return;
+  const std::size_t n = shard.staged->size;
+  Item item;
+  item.burst = std::move(shard.staged);
+  // Count the frames before the push: the worker may start them at once,
+  // and `started` must never overtake `pushed`.
+  const std::uint64_t pushed = shard.pushed.load(std::memory_order_relaxed);
+  shard.pushed.store(pushed + n, std::memory_order_release);
+  if (block ? shard.queue.push(std::move(item)) : shard.queue.try_push(std::move(item))) return;
+  shard.pushed.store(pushed, std::memory_order_release);
+  shard.staged = std::move(item.burst);  // a failed push leaves the item intact
+}
+
+void ShardedProbe::flush_all() {
+  for (auto& shard : shards_) flush(*shard, /*block=*/true);
+}
+
 void ShardedProbe::ingest(net::Frame frame) {
   if (finished_) return;
   ++feeder_frames_;
@@ -98,31 +157,36 @@ void ShardedProbe::ingest(net::Frame frame) {
     ++feeder_sampled_out_;
     return;
   }
-  Item item;
-  item.seq = next_seq_++;
-  item.frame = std::move(frame);
-  const std::size_t target = shard_of(item.frame);
-  shards_[target]->queue.push(std::move(item));
+  Shard& shard = *shards_[shard_of(frame)];
+  while (!has_room(shard)) {
+    if (shard.staged && shard.staged->size > 0) {
+      flush(shard, /*block=*/true);
+      continue;
+    }
+    // Everything buffered is ringed, so the worker owes us a burst: wait
+    // for it to come back (its frames have all started by then).
+    auto recycled = shard.recycle.pop();
+    if (recycled && !shard.staged) shard.staged = std::move(*recycled);
+  }
+  stage(shard, frame);
 }
 
 bool ShardedProbe::try_ingest(net::Frame& frame) {
   if (finished_) return false;
-  Item item;
-  item.seq = next_seq_;  // claimed only on success
-  item.frame = std::move(frame);
-  const std::size_t target = shard_of(item.frame);
-  if (!shards_[target]->queue.try_push(std::move(item))) {
-    // try_push leaves the item untouched on failure; give the frame back.
-    frame = std::move(item.frame);
-    return false;
+  Shard& shard = *shards_[shard_of(frame)];
+  if (!has_room(shard)) {
+    // Hand the staged frames over so the worker can make room.
+    flush(shard, /*block=*/false);
+    if (!has_room(shard)) return false;
   }
-  ++next_seq_;
   ++feeder_frames_;
+  stage(shard, frame);
   return true;
 }
 
 void ShardedProbe::broadcast(Item::Kind kind, dpi::ClassifierOptions options) {
   if (finished_) return;
+  flush_all();
   for (auto& shard : shards_) {
     Item item;
     item.kind = kind;
@@ -141,6 +205,7 @@ void ShardedProbe::end_outage() { broadcast(Item::Kind::kEndOutage); }
 
 std::vector<std::shared_ptr<ShardedProbe::BarrierSlot>> ShardedProbe::barrier(
     Item::Kind kind, const std::vector<std::vector<std::byte>>* state_in) {
+  flush_all();
   std::vector<std::shared_ptr<BarrierSlot>> slots;
   slots.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -189,13 +254,13 @@ core::Result<void> ShardedProbe::restore(
   return {};
 }
 
-void ShardedProbe::handle_frame(Shard& shard, Item& item) {
+void ShardedProbe::handle_frame(Shard& shard, std::uint64_t seq, const net::Frame& frame) {
   bool state_suspect = false;
   try {
-    if (config_.frame_inspector) config_.frame_inspector(item.seq, item.frame);
+    if (config_.frame_inspector) config_.frame_inspector(seq, frame);
     state_suspect = true;  // from here on, a throw leaves the probe half-mutated
-    shard.probe->set_next_ingest_seq(item.seq);
-    shard.probe->process(item.frame);
+    shard.probe->set_next_ingest_seq(seq);
+    shard.probe->process(frame);
     if (config_.snapshot_interval > 0 &&
         ++shard.frames_since_snapshot >= config_.snapshot_interval) {
       shard.last_snapshot = shard.probe->checkpoint_image();
@@ -227,7 +292,18 @@ void ShardedProbe::handle_frame(Shard& shard, Item& item) {
     shard.restores.fetch_add(1, std::memory_order_relaxed);
   }
   shard.quarantined.fetch_add(1, std::memory_order_relaxed);
-  if (config_.poison_sink) config_.poison_sink(item.seq, item.frame, restored);
+  if (config_.poison_sink) config_.poison_sink(seq, frame, restored);
+}
+
+void ShardedProbe::run_burst(Shard& shard, Burst& burst) {
+  for (std::size_t i = 0; i < burst.size; ++i) {
+    shard.started.store(shard.started.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_release);
+    // Simulated kill: drain the rest of the burst without processing it.
+    if (abandoned_.load(std::memory_order_acquire)) continue;
+    handle_frame(shard, burst.seqs[i], burst.frames[i]);
+    shard.heartbeat.fetch_add(1, std::memory_order_release);
+  }
 }
 
 void ShardedProbe::worker_loop(Shard& shard) {
@@ -237,6 +313,13 @@ void ShardedProbe::worker_loop(Shard& shard) {
     shard.last_snapshot = shard.probe->checkpoint_image();
   }
   while (auto item = shard.queue.pop()) {
+    if (item->kind == Item::Kind::kBurst) {
+      run_burst(shard, *item->burst);
+      // Back to the feeder with its buffers; sized so this never fails.
+      item->burst->size = 0;
+      (void)shard.recycle.try_push(std::move(item->burst));
+      continue;
+    }
     if (abandoned_.load(std::memory_order_acquire)) {
       // Simulated kill: drain without processing. Barrier waiters are
       // unblocked so the feeder never hangs on a dead pipeline.
@@ -248,9 +331,8 @@ void ShardedProbe::worker_loop(Shard& shard) {
       continue;
     }
     switch (item->kind) {
-      case Item::Kind::kFrame:
-        handle_frame(shard, *item);
-        break;
+      case Item::Kind::kBurst:
+        break;  // handled above
       case Item::Kind::kClassifier:
         shard.probe->set_classifier_options(item->options);
         break;
@@ -308,6 +390,7 @@ void ShardedProbe::join_workers() {
 void ShardedProbe::abandon() {
   if (finished_) return;
   finished_ = true;
+  for (auto& shard : shards_) shard->staged.reset();  // lost with the process
   abandoned_.store(true, std::memory_order_release);
   join_workers();
   for (auto& shard : shards_) {
@@ -318,6 +401,7 @@ void ShardedProbe::abandon() {
 
 std::vector<flow::FlowRecord> ShardedProbe::finish() {
   if (finished_) return {};
+  flush_all();
   finished_ = true;
   join_workers();
 
@@ -341,11 +425,11 @@ std::vector<flow::FlowRecord> ShardedProbe::finish() {
 }
 
 std::size_t ShardedProbe::queue_depth(std::size_t i) const noexcept {
-  return shards_[i]->queue.size();
-}
-
-std::size_t ShardedProbe::queue_capacity() const noexcept {
-  return shards_.empty() ? 0 : shards_[0]->queue.capacity();
+  // `started` first: it never overtakes `pushed`, so a later read of
+  // `pushed` cannot be smaller.
+  const auto& shard = *shards_[i];
+  const std::uint64_t started = shard.started.load(std::memory_order_acquire);
+  return static_cast<std::size_t>(shard.pushed.load(std::memory_order_acquire) - started);
 }
 
 std::uint64_t ShardedProbe::heartbeat(std::size_t i) const noexcept {

@@ -2,8 +2,18 @@
 // The paper scaled by running one probe process per PoP link (§2.1); this
 // scales one link's software pipeline across cores by hashing the customer
 // address into N independent Probe shards — each with its own flow table,
-// DPI state and DN-Hunter cache — fed through bounded SPSC rings and
-// drained by one worker thread per shard.
+// DPI state and DN-Hunter cache — drained by one worker thread per shard.
+//
+// Handoff: the feeder copies each frame into a recycled buffer of its
+// shard's staging burst and hands the burst over with one SPSC push once it
+// holds kBurstFrames frames (fewer for small rings, see burst_limit_). The
+// worker handles the burst frame by frame in seq order, then returns it —
+// buffers and all — on a per-shard recycle ring. So a push (and the futex
+// wake it may pay) is amortised over a burst, and every frame buffer is
+// allocated and freed on the feeder thread, never freed across threads.
+// queue_capacity stays denominated in frames: staged plus ringed frames of
+// a shard never exceed it. Staged bursts are flushed before every control
+// event, snapshot()/restore() barrier and finish(); abandon() drops them.
 //
 // Why the customer address is the shard key: every analytics dimension of
 // the paper is per-subscription, and DN-Hunter's cache is per-client by
@@ -70,8 +80,10 @@ struct ShardedProbeConfig {
   /// shards so the aggregate memory bound is unchanged.
   ProbeConfig probe;
   std::size_t shards = 4;
-  /// Frames buffered per shard ring before the feeder blocks
+  /// Frames buffered per shard — staged in the feeder's burst plus pushed
+  /// to the ring and not yet started — before the feeder blocks
   /// (backpressure keeps memory bounded when one shard falls behind).
+  /// Rounded up to a power of two (minimum 2).
   std::size_t queue_capacity = 1024;
 
   /// Invoked on the worker thread for every frame, before it reaches the
@@ -107,27 +119,29 @@ class ShardedProbe {
   ShardedProbe(const ShardedProbe&) = delete;
   ShardedProbe& operator=(const ShardedProbe&) = delete;
 
-  /// Feed one captured frame (single feeder thread). Blocks when the
-  /// owning shard's ring is full. The frame is moved into the ring; pass
-  /// a copy to keep the original.
+  /// Feed one captured frame (single feeder thread). Blocks while the
+  /// owning shard buffers queue_capacity() frames. The bytes are copied
+  /// into a recycled buffer, so `frame` is released on the caller's thread.
   void ingest(net::Frame frame);
 
   /// Non-blocking ingest for overload-aware feeders: false when the owning
-  /// shard's ring is full (the frame is left in `frame`, no sequence
-  /// number is consumed — the caller may retry, reroute or shed it).
+  /// shard buffers queue_capacity() frames (no sequence number is consumed
+  /// — the caller may retry, reroute or shed it). The bytes are copied, so
+  /// `frame` is left intact either way. Accepted frames keep stream order
+  /// with frames staged by ingest().
   [[nodiscard]] bool try_ingest(net::Frame& frame);
 
   /// Control events ride the same rings as frames, so they take effect at
   /// exactly the same stream position on every shard (upgrade events C/F,
-  /// outage windows of §2.3).
+  /// outage windows of §2.3). Staged bursts are flushed first.
   void set_classifier_options(dpi::ClassifierOptions options);
   void begin_outage();
   void end_outage();
 
-  /// Checkpoint barrier: wait for every shard to drain its ring, then
-  /// capture each probe's state and hand over all exported records. After
-  /// it returns, the pipeline keeps running — this is the supervisor's
-  /// periodic pipeline checkpoint, not a shutdown.
+  /// Checkpoint barrier: flush the staged bursts, wait for every shard to
+  /// drain its ring, then capture each probe's state and hand over all
+  /// exported records. After it returns, the pipeline keeps running — this
+  /// is the supervisor's periodic pipeline checkpoint, not a shutdown.
   [[nodiscard]] PipelineSnapshot snapshot();
 
   /// Restore barrier: replace every shard's probe state with the given
@@ -138,25 +152,34 @@ class ShardedProbe {
   core::Result<void> restore(const std::vector<std::vector<std::byte>>& shard_state,
                              std::uint64_t next_seq);
 
-  /// Drain every ring, flush every shard, join the workers, and return
-  /// all exported records merged by `ingest_seq` (deterministic creation
-  /// order, independent of the shard count). Idempotent; after the first
-  /// call the probe accepts no more frames.
+  /// Flush the staged bursts, drain every ring, flush every shard's open
+  /// flows, join the workers, and return all exported records merged by
+  /// `ingest_seq` (deterministic creation order, independent of the shard
+  /// count). Idempotent; after the first call the probe accepts no more
+  /// frames.
   [[nodiscard]] std::vector<flow::FlowRecord> finish();
 
   /// Simulated hard kill (chaos harness): stop the workers without
-  /// flushing open flows or exporting anything — in-memory state dies
-  /// exactly as it would with SIGKILL. Idempotent with finish().
+  /// flushing open flows or exporting anything — in-memory state, staged
+  /// bursts included, dies exactly as it would with SIGKILL. Idempotent
+  /// with finish().
   void abandon();
 
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
+  /// Most frames one ring push hands over.
+  static constexpr std::size_t kBurstFrames = 64;
+
   /// --- Observability for the supervision layer (any thread) ---
-  /// Frames currently buffered in shard `i`'s ring.
+  /// Frames pushed to shard `i`'s ring that its worker has not started.
+  /// Frames still staged on the feeder are not counted: the worker cannot
+  /// see them, so a heartbeat standing still over them is no stall.
   [[nodiscard]] std::size_t queue_depth(std::size_t i) const noexcept;
-  [[nodiscard]] std::size_t queue_capacity() const noexcept;
-  /// Heartbeat: items shard `i`'s worker has fully handled. A shard whose
-  /// heartbeat stands still while its ring is non-empty is stalled.
+  /// Frames a shard may buffer (staged plus ringed), see queue_capacity.
+  [[nodiscard]] std::size_t queue_capacity() const noexcept { return capacity_; }
+  /// Heartbeat: frames and control items shard `i`'s worker has fully
+  /// handled. A shard whose heartbeat stands still while its ring is
+  /// non-empty is stalled.
   [[nodiscard]] std::uint64_t heartbeat(std::size_t i) const noexcept;
   /// Frames quarantined (processing threw) per shard / total.
   [[nodiscard]] std::uint64_t quarantined(std::size_t i) const noexcept;
@@ -179,48 +202,74 @@ class ShardedProbe {
     std::atomic<bool> done{false};
   };
 
+  /// Up to burst_limit_ frames with their global seqs. Bursts circulate
+  /// feeder → ring → worker → recycle ring → feeder; the frame buffers keep
+  /// their capacity, so steady state allocates nothing.
+  struct Burst {
+    std::size_t size = 0;
+    std::vector<std::uint64_t> seqs;
+    std::vector<net::Frame> frames;
+  };
+
   struct Item {
     enum class Kind : std::uint8_t {
-      kFrame,
+      kBurst,
       kClassifier,
       kBeginOutage,
       kEndOutage,
       kSnapshot,
       kRestore,
     };
-    Kind kind = Kind::kFrame;
-    std::uint64_t seq = 0;
-    net::Frame frame;
+    Kind kind = Kind::kBurst;
+    std::unique_ptr<Burst> burst;
     dpi::ClassifierOptions options;
     std::shared_ptr<BarrierSlot> barrier;
   };
 
   struct Shard {
-    explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
+    Shard(std::size_t ring_slots, std::size_t recycle_slots)
+        : queue(ring_slots), recycle(recycle_slots) {}
     core::SpscQueue<Item> queue;
+    core::SpscQueue<std::unique_ptr<Burst>> recycle;
     std::unique_ptr<Probe> probe;
     std::vector<flow::FlowRecord> records;  ///< Written by worker, read after join.
     std::thread worker;
+    // Feeder-owned staging state.
+    std::unique_ptr<Burst> staged;
+    std::uint64_t started_seen = 0;  ///< Last read of `started` (a lower bound).
     // Worker-owned poison-recovery state.
     std::vector<std::byte> last_snapshot;
     std::uint64_t frames_since_snapshot = 0;
-    // Cross-thread observability.
+    // Cross-thread counters; each has a single writer. pushed - started is
+    // the ring depth in frames.
+    alignas(64) std::atomic<std::uint64_t> pushed{0};  ///< Feeder: frames pushed.
+    alignas(64) std::atomic<std::uint64_t> started{0};  ///< Worker: frames started.
     std::atomic<std::uint64_t> heartbeat{0};
     std::atomic<std::uint64_t> quarantined{0};
     std::atomic<std::uint64_t> restores{0};
   };
 
   [[nodiscard]] std::size_t shard_of(const net::Frame& frame) const noexcept;
+  /// Staged plus ringed frames of `shard` are below capacity_.
+  [[nodiscard]] bool has_room(Shard& shard) noexcept;
+  void stage(Shard& shard, const net::Frame& frame);
+  /// Hand the staged burst to the worker. `block` waits for a ring slot;
+  /// otherwise a full ring leaves the burst staged.
+  void flush(Shard& shard, bool block);
+  void flush_all();
   void broadcast(Item::Kind kind, dpi::ClassifierOptions options = {});
   /// Push one barrier item per shard and wait for every worker to mark its
   /// slot done. Returns the slots for harvesting.
   std::vector<std::shared_ptr<BarrierSlot>> barrier(
       Item::Kind kind, const std::vector<std::vector<std::byte>>* state_in);
   void worker_loop(Shard& shard);
-  void handle_frame(Shard& shard, Item& item);
+  void run_burst(Shard& shard, Burst& burst);
+  void handle_frame(Shard& shard, std::uint64_t seq, const net::Frame& frame);
   void join_workers();
 
   ShardedProbeConfig config_;
+  std::size_t capacity_ = 0;     ///< Frames per shard (queue_capacity, rounded).
+  std::size_t burst_limit_ = 0;  ///< Frames per burst.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t feeder_frames_ = 0;

@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -434,6 +436,251 @@ TEST(ShardedProbe, OutageWindowMatchesSerialProbe) {
   }
   EXPECT_EQ(encode_stream(sp.finish()), encode_stream(serial_records));
   EXPECT_EQ(sp.counters().dropped_offline, probe.counters().dropped_offline);
+}
+
+// ------------------------------------------------ ShardedProbe bursts
+// The feeder stages frames per shard and hands them over kBurstFrames at a
+// time (the default queue_capacity keeps the full burst size). These pin
+// the handoff's edges: partial bursts at finish(), control events and
+// barriers landing mid-burst, abandon() over staged frames, mixed
+// try_ingest/ingest order, and the frame-denominated buffer bound.
+
+namespace {
+
+constexpr std::size_t kBurst = ew::probe::ShardedProbe::kBurstFrames;
+
+ew::probe::ShardedProbeConfig shard_config(std::size_t shards) {
+  ew::probe::ShardedProbeConfig scfg;
+  scfg.shards = shards;
+  return scfg;
+}
+
+void sort_by_seq(std::vector<FlowRecord>& records) {
+  std::sort(records.begin(), records.end(), [](const FlowRecord& a, const FlowRecord& b) {
+    return a.ingest_seq < b.ingest_seq;
+  });
+}
+
+}  // namespace
+
+TEST(ShardedProbeBurst, GoldenStreamIdenticalAtBurstBoundaries) {
+  const auto all = golden_workload();
+  ASSERT_GT(all.size(), 5 * kBurst);
+  // Frame counts ≡ 0, 1 and burst−1 (mod burst), including a lone
+  // partial burst that only finish() hands over.
+  for (const std::size_t len : {kBurst - 1, kBurst, kBurst + 1, 4 * kBurst, 4 * kBurst + 1,
+                                5 * kBurst - 1}) {
+    const std::vector<ew::net::Frame> frames(all.begin(),
+                                             all.begin() + static_cast<std::ptrdiff_t>(len));
+    ew::probe::Probe::Counters serial_counters;
+    const auto expected = encode_stream(serial_reference(frames, {}, &serial_counters));
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                     std::size_t{8}}) {
+      ew::probe::ShardedProbe sp(shard_config(shards));
+      for (const auto& f : frames) sp.ingest(f);
+      EXPECT_EQ(encode_stream(sp.finish()), expected) << "len=" << len << " shards=" << shards;
+      EXPECT_EQ(sp.counters().frames, serial_counters.frames)
+          << "len=" << len << " shards=" << shards;
+    }
+  }
+}
+
+TEST(ShardedProbeBurst, ControlEventsMidBurstMatchSerialProbe) {
+  const auto frames = golden_workload();
+  // Offsets inside a burst for every shard count (the 1-shard burst
+  // boundaries are multiples of kBurst).
+  const std::size_t flip_at = 3 * kBurst + kBurst / 2;
+  const std::size_t off_at = 4 * kBurst + 1;
+  const std::size_t on_at = 6 * kBurst - 1;
+  ASSERT_GT(frames.size(), on_at);
+
+  std::vector<FlowRecord> serial_records;
+  ew::probe::Probe serial({}, [&](FlowRecord&& r) { serial_records.push_back(std::move(r)); });
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (i == flip_at) serial.set_classifier_options({.report_spdy = false, .report_fbzero = false});
+    if (i == off_at) serial.begin_outage();
+    if (i == on_at) serial.end_outage();
+    serial.process(frames[i]);
+  }
+  serial.finish();
+  sort_by_seq(serial_records);
+  const auto expected = encode_stream(serial_records);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                   std::size_t{8}}) {
+    ew::probe::ShardedProbe sp(shard_config(shards));
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      if (i == flip_at) sp.set_classifier_options({.report_spdy = false, .report_fbzero = false});
+      if (i == off_at) sp.begin_outage();
+      if (i == on_at) sp.end_outage();
+      sp.ingest(frames[i]);
+    }
+    EXPECT_EQ(encode_stream(sp.finish()), expected) << "shards=" << shards;
+    EXPECT_EQ(sp.counters().dropped_offline, serial.counters().dropped_offline)
+        << "shards=" << shards;
+  }
+}
+
+TEST(ShardedProbeBurst, SnapshotRestoreMidBurstResumesIdentically) {
+  const auto frames = golden_workload();
+  const auto expected = encode_stream(serial_reference(frames, {}));
+  const std::size_t cut = 4 * kBurst + 17;
+  ASSERT_GT(frames.size(), cut);
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                   std::size_t{8}}) {
+    // Snapshot mid-burst and keep running: the barrier must not lose or
+    // reorder the staged frames.
+    {
+      ew::probe::ShardedProbe sp(shard_config(shards));
+      for (std::size_t i = 0; i < cut; ++i) sp.ingest(frames[i]);
+      auto snap = sp.snapshot();
+      EXPECT_EQ(snap.next_seq, cut);
+      for (std::size_t i = cut; i < frames.size(); ++i) sp.ingest(frames[i]);
+      auto records = std::move(snap.records);
+      for (auto& r : sp.finish()) records.push_back(std::move(r));
+      sort_by_seq(records);
+      EXPECT_EQ(encode_stream(records), expected) << "continued, shards=" << shards;
+    }
+    // Snapshot mid-burst, kill, restore into a fresh probe, replay the rest.
+    {
+      ew::probe::ShardedProbe first(shard_config(shards));
+      for (std::size_t i = 0; i < cut; ++i) first.ingest(frames[i]);
+      auto snap = first.snapshot();
+      first.abandon();
+      ew::probe::ShardedProbe second(shard_config(shards));
+      ASSERT_TRUE(second.restore(snap.shard_state, snap.next_seq));
+      for (std::size_t i = cut; i < frames.size(); ++i) second.ingest(frames[i]);
+      auto records = std::move(snap.records);
+      for (auto& r : second.finish()) records.push_back(std::move(r));
+      sort_by_seq(records);
+      EXPECT_EQ(encode_stream(records), expected) << "restored, shards=" << shards;
+    }
+  }
+}
+
+TEST(ShardedProbeBurst, AbandonDiscardsStagedFrames) {
+  const auto frames = golden_workload();
+  ASSERT_GT(frames.size(), 2 * kBurst + 5);
+  for (const std::size_t count : {kBurst - 1, 2 * kBurst + 5}) {
+    std::atomic<std::size_t> seen{0};
+    auto scfg = shard_config(1);
+    scfg.frame_inspector = [&seen](std::uint64_t, const ew::net::Frame&) { ++seen; };
+    ew::probe::ShardedProbe sp(scfg);
+    for (std::size_t i = 0; i < count; ++i) sp.ingest(frames[i]);
+    sp.abandon();
+    // Only whole bursts ever reached the worker; the staged tail died with
+    // the "process".
+    EXPECT_LE(seen.load(), count / kBurst * kBurst) << "count=" << count;
+    EXPECT_TRUE(sp.finish().empty());
+  }
+}
+
+TEST(ShardedProbeBurst, TryIngestKeepsStreamOrderWithStagedFrames) {
+  const auto frames = golden_workload();
+  const auto expected = encode_stream(serial_reference(frames, {}));
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    std::mutex mutex;
+    std::map<std::thread::id, std::vector<std::uint64_t>> seen;
+    auto scfg = shard_config(shards);
+    scfg.frame_inspector = [&](std::uint64_t seq, const ew::net::Frame&) {
+      const std::scoped_lock lock(mutex);
+      seen[std::this_thread::get_id()].push_back(seq);
+    };
+    ew::probe::ShardedProbe sp(scfg);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      if (i % 3 == 0) {
+        auto frame = frames[i];
+        while (!sp.try_ingest(frame)) std::this_thread::yield();
+      } else {
+        sp.ingest(frames[i]);
+      }
+    }
+    EXPECT_EQ(encode_stream(sp.finish()), expected) << "shards=" << shards;
+    std::size_t total = 0;
+    for (const auto& [thread, seqs] : seen) {
+      total += seqs.size();
+      EXPECT_TRUE(std::is_sorted(seqs.begin(), seqs.end())) << "shards=" << shards;
+    }
+    EXPECT_EQ(total, frames.size()) << "shards=" << shards;
+  }
+}
+
+TEST(ShardedProbeBurst, BufferedFramesNeverExceedQueueCapacity) {
+  const auto frames = golden_workload();
+  constexpr std::size_t kCapacity = 16;
+  EXPECT_EQ(ew::probe::ShardedProbe(shard_config(1)).queue_capacity(), 1024u);  // frames
+  {
+    auto scfg = shard_config(1);
+    scfg.queue_capacity = 12;  // rounded up, still counted in frames
+    EXPECT_EQ(ew::probe::ShardedProbe(scfg).queue_capacity(), kCapacity);
+  }
+
+  // try_ingest: with the worker parked inside frame 0, exactly
+  // queue_capacity more frames are accepted; then it refuses, and every
+  // buffered frame is visible to the worker as ring depth.
+  {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+    auto scfg = shard_config(1);
+    scfg.queue_capacity = kCapacity;
+    scfg.frame_inspector = [&](std::uint64_t seq, const ew::net::Frame&) {
+      if (seq != 0) return;
+      entered.store(true);
+      while (!release.load()) std::this_thread::yield();
+    };
+    ew::probe::ShardedProbe sp(scfg);
+    std::size_t accepted = 0;
+    auto take = [&] {
+      auto frame = frames[accepted];
+      if (!sp.try_ingest(frame)) return false;
+      ++accepted;
+      return true;
+    };
+    while (!entered.load()) {
+      if (!take()) std::this_thread::yield();
+    }
+    while (take()) {
+      ASSERT_LT(accepted, frames.size());
+    }
+    EXPECT_EQ(accepted, kCapacity + 1);  // the one in flight left the buffer
+    EXPECT_EQ(sp.queue_depth(0), kCapacity);
+    EXPECT_EQ(sp.heartbeat(0), 0u);
+    release.store(true);
+    const std::vector<ew::net::Frame> prefix(
+        frames.begin(), frames.begin() + static_cast<std::ptrdiff_t>(accepted));
+    EXPECT_EQ(encode_stream(sp.finish()), encode_stream(serial_reference(prefix, {})));
+  }
+
+  // ingest blocks at the same bound instead of refusing.
+  {
+    std::atomic<bool> release{false};
+    auto scfg = shard_config(1);
+    scfg.queue_capacity = kCapacity;
+    scfg.frame_inspector = [&](std::uint64_t seq, const ew::net::Frame&) {
+      while (seq == 0 && !release.load()) std::this_thread::yield();
+    };
+    ew::probe::ShardedProbe sp(scfg);
+    std::atomic<std::size_t> returned{0};
+    std::thread feeder([&] {
+      for (std::size_t i = 0; i < 4 * kCapacity; ++i) {
+        sp.ingest(frames[i]);
+        returned.fetch_add(1);
+      }
+    });
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (returned.load() < kCapacity && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_GE(returned.load(), kCapacity);
+    EXPECT_LE(returned.load(), kCapacity + 1);
+    EXPECT_LE(sp.queue_depth(0), kCapacity);
+    release.store(true);
+    feeder.join();
+    EXPECT_EQ(returned.load(), 4 * kCapacity);
+    EXPECT_FALSE(sp.finish().empty());
+  }
 }
 
 // ------------------------------------------------- parallel stage-one

@@ -186,6 +186,45 @@ TEST(Pcap, TruncatedLastRecordEndsGracefully) {
   EXPECT_EQ(n, trace.size() - 1);
 }
 
+// The reader works through 1 MiB blocks: records straddle block
+// boundaries, and one record is larger than a whole block. All of them
+// must come back byte for byte, and a file cut inside the oversized record
+// must end the stream just before it.
+TEST(Pcap, RecordsAcrossAndBeyondReadBlocksRoundTrip) {
+  constexpr std::size_t kLarge = 1500;
+  ew::net::Trace trace;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    ew::net::Frame f;
+    f.timestamp = ew::core::Timestamp{100'000'000 + static_cast<std::int64_t>(i)};
+    f.data.resize(i == kLarge ? std::size_t{3} << 19 : 1 + (i * 7919) % 1499);
+    for (std::size_t b = 0; b < f.data.size(); ++b) {
+      f.data[b] = static_cast<std::byte>((b * 31 + i) & 0xff);
+    }
+    trace.add(std::move(f));
+  }
+  TempFile file;
+  ASSERT_GT(ew::net::write_pcap(file.path, trace, 4u << 20), 0u);
+
+  std::vector<ew::net::Frame> back;
+  const auto stats = ew::net::read_pcap(
+      file.path, [&back](ew::net::Frame&& f) { back.push_back(std::move(f)); });
+  ASSERT_TRUE(stats.has_value());
+  ASSERT_EQ(back.size(), trace.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].timestamp, trace[i].timestamp) << i;
+    EXPECT_EQ(back[i].data, trace[i].data) << i;
+  }
+
+  std::uint64_t large_at = 24;
+  for (std::size_t i = 0; i < kLarge; ++i) large_at += 16 + trace[i].data.size();
+  fs::resize_file(file.path, large_at + 16 + (std::size_t{1} << 19));
+  std::size_t n = 0;
+  const auto cut = ew::net::read_pcap(file.path, [&n](ew::net::Frame&&) { ++n; });
+  ASSERT_TRUE(cut.has_value());
+  EXPECT_EQ(cut->frames, kLarge);
+  EXPECT_EQ(n, kLarge);
+}
+
 TEST(Pcap, ProbeConsumesPcapReplay) {
   TempFile file;
   ew::net::write_pcap(file.path, sample_trace());
