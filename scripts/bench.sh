@@ -34,9 +34,9 @@ mkdir -p "$FRAGMENTS"
 # Overload sweep is about shed *ratios*, not throughput — a few hundred
 # conversations give a full Healthy→Shedding curve without minutes of spin.
 ./build/bench/bench_overload 400 "$REPEATS" "$FRAGMENTS/overload.json"
-# v2-vs-v3 scan path: 8 merged synthetic days make enough blocks that the
+# Columnar scan path: 8 merged synthetic days make enough blocks that the
 # one-hour predicate must prune ≥90% of them (the binary exits non-zero if
-# it doesn't, or if the two formats deliver different records).
+# it doesn't, or if a scan's answer differs from the input records).
 ./build/bench/bench_scan_selectivity 8 "$REPEATS" "$FRAGMENTS/scan_selectivity.json"
 # Batch execution core: the full-day aggregate scan consumed as SoA batches
 # must beat the row-emit shim on the same v3 lake. The aggregate-identity

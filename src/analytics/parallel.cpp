@@ -57,10 +57,10 @@ DayScanAggregate aggregate_day(const storage::DataLake& lake, core::CivilDate da
     out.scan.errc = idx.fatal();
     return out;
   }
-  // Batch delivery: v3 blocks aggregate column-at-a-time with dict-code
-  // pass-through (no per-row FlowRecord, no string materialization); v1/v2
-  // blocks stage through the scratch transposer. Identical aggregates to
-  // the old per-record callback — add_batch is golden-tested against add().
+  // Batch delivery: blocks aggregate column-at-a-time with dict-code
+  // pass-through (no per-row FlowRecord, no string materialization).
+  // Identical aggregates to the per-record callback — add_batch is
+  // golden-tested against add().
   auto deliver = [&agg](const exec::RecordBatch& b) { agg.add_batch(b); };
   const auto& blocks = idx.blocks();
   const auto& chain = idx.chain();

@@ -20,11 +20,11 @@ namespace {
 // corruption.
 enum Column : std::uint8_t {
   kColTs = 0,          // zigzag delta chain of first_packet µs
-  kColDur = 1,         // zigzag last−first (mirrors the v2 field exactly)
+  kColDur = 1,         // zigzag last−first (mirrors the record codec field)
   kColService = 2,     // u8 dict codes into the service dictionary
   kColProto = 3,       // u8 raw TransportProto values
   kColAccess = 4,      // u8
-  kColFlags = 5,       // u8 handshake | close_reason<<1 (v2 flag byte)
+  kColFlags = 5,       // u8 handshake | close_reason<<1 (record codec flag byte)
   kColL7 = 6,          // u8
   kColWeb = 7,         // u8
   kColNameSource = 8,  // u8
@@ -812,10 +812,6 @@ bool ScanPredicate::matches(const flow::FlowRecord& record) const {
 
 unsigned segments_for_fields(std::uint32_t fields) noexcept {
   return segments_for_fields_impl(fields);
-}
-
-bool is_columnar_block(std::span<const std::byte> body) noexcept {
-  return !body.empty() && std::to_integer<std::uint8_t>(body[0]) == kColumnarTag;
 }
 
 std::optional<ZoneMap> peek_zone_map(std::span<const std::byte> body) noexcept {

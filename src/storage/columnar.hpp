@@ -1,6 +1,6 @@
-// Columnar `.ewl` v3 block bodies: the read-optimized counterpart of the
-// row-oriented v2 stream (paper §2.2 — the analytics side re-scans years of
-// day logs, so the scan path must be able to *skip* and to decode in batch).
+// Columnar `.ewl` v3 block bodies, the lake's only block format (paper
+// §2.2 — the analytics side re-scans years of day logs, so the scan path
+// must be able to *skip* and to decode in batch).
 //
 // Within one CRC-framed lake block, records are transposed into per-field
 // column segments, each with its own varint/fixed-width stream and its own
@@ -19,10 +19,9 @@
 // this; DESIGN.md §12 states the contract).
 //
 // Body layout (all integers little-endian; the body sits verbatim inside a
-// v2-style CRC frame, so every byte below is checksummed):
+// CRC frame, so every byte below is checksummed):
 //
-//   u8  tag = 0xC3            distinguishes columnar bodies from the v1/v2
-//                             compression envelope (scheme bytes 0x00/0x01)
+//   u8  tag = 0xC3            any other first byte is a corrupt body
 //   u8  layout = 1 | 2
 //   zone map (36 bytes):      i64 ts_min_us | i64 ts_max_us
 //                             | u32 service_bitmap | u32 proto_bitmap
@@ -121,13 +120,13 @@ struct ScanPredicate {
   std::uint32_t service_mask = 0;
   /// Bit per proto_bit(TransportProto); 0 = any transport.
   std::uint32_t proto_mask = 0;
-  /// Classifier for row-format (v1/v2) record filtering when service_mask
-  /// is set; nullptr = services::ServiceCatalog::standard(). v3 blocks
-  /// filter on their materialized service column instead (written with the
-  /// lake's write catalog — the same standard catalog by default).
+  /// Classifier matches() uses when service_mask is set; nullptr =
+  /// services::ServiceCatalog::standard(). Block scans filter on the
+  /// materialized service column instead (written with the lake's write
+  /// catalog — the same standard catalog by default).
   const services::ServiceCatalog* catalog = nullptr;
   /// Projection (scan_fields bits): which record fields the consumer will
-  /// read. kAll decodes everything; a narrower mask lets v3 blocks skip the
+  /// read. kAll decodes everything; a narrower mask lets a scan skip the
   /// unreferenced column segments entirely. Orthogonal to the row filters
   /// above — a fields-only predicate is still an unrestricted (full) scan.
   std::uint32_t fields = scan_fields::kAll;
@@ -148,8 +147,8 @@ struct ScanPredicate {
     return true;
   }
 
-  /// Row-level match for already-materialized records (the v1/v2 path and
-  /// the post-decode oracle the golden tests compare against).
+  /// Row-level match for already-materialized records: the reference the
+  /// pushdown tests and benches check block scans against.
   [[nodiscard]] bool matches(const flow::FlowRecord& record) const;
 
   /// Convenience: restrict to one service.
@@ -274,8 +273,8 @@ void build_dict_chain_state(std::span<const flow::FlowRecord> prev_records, Dict
 enum class BlockDecodeStatus : std::uint8_t {
   kOk = 0,
   /// Structural damage (bad tag/dictionary/segment, torn column, count
-  /// mismatch). No record of the block is delivered — columnar blocks
-  /// decode atomically, unlike the v2 row stream's valid-prefix delivery.
+  /// mismatch). No record of the block is delivered — blocks decode
+  /// atomically.
   kCorrupt,
   /// Every record decoded and was delivered, but at least one contradicts
   /// the zone map (a record outside the claimed time/service/proto/IP
@@ -291,10 +290,6 @@ enum class BlockDecodeStatus : std::uint8_t {
 [[nodiscard]] unsigned segments_for_fields(std::uint32_t fields) noexcept;
 /// Segments per columnar block (layout v1); segments_for_fields(kAll).
 inline constexpr unsigned kColumnSegmentCount = 32;
-
-/// True when `body` carries the columnar tag (v3); false for the v1/v2
-/// compression envelope.
-[[nodiscard]] bool is_columnar_block(std::span<const std::byte> body) noexcept;
 
 /// Read just the fixed-width zone map — no decompression, no column decode.
 /// nullopt on a malformed prefix.

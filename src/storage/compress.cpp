@@ -452,9 +452,17 @@ bool decompress_zigzag_segment(std::span<const std::byte> input, std::size_t n, 
   return true;
 }
 
+namespace {
+
+/// Decompress a scheme-0/1 envelope into `out`, reusing its capacity. `out`
+/// is cleared and filled; on failure it is left cleared and false returned.
+bool inflate_into(std::span<const std::byte> input, std::vector<std::byte>& out);
+
+}  // namespace
+
 std::optional<std::vector<std::byte>> decompress_block(std::span<const std::byte> input) {
   std::vector<std::byte> out;
-  if (!decompress_block_into(input, out)) return std::nullopt;
+  if (!inflate_into(input, out)) return std::nullopt;
   return out;
 }
 
@@ -465,11 +473,13 @@ std::optional<std::span<const std::byte>> decompress_block_view(std::span<const 
     if (expected > kMaxDecompressedSize || input.size() - 5 != expected) return std::nullopt;
     return input.subspan(5);
   }
-  if (!decompress_block_into(input, scratch)) return std::nullopt;
+  if (!inflate_into(input, scratch)) return std::nullopt;
   return std::span<const std::byte>{scratch};
 }
 
-bool decompress_block_into(std::span<const std::byte> input, std::vector<std::byte>& out) {
+namespace {
+
+bool inflate_into(std::span<const std::byte> input, std::vector<std::byte>& out) {
   out.clear();
   if (input.size() < 5) return false;
   const auto scheme = std::to_integer<std::uint8_t>(input[0]);
@@ -529,5 +539,7 @@ bool decompress_block_into(std::span<const std::byte> input, std::vector<std::by
   if (out.size() != expected) return false;
   return true;
 }
+
+}  // namespace
 
 }  // namespace edgewatch::storage

@@ -34,8 +34,7 @@ namespace edgewatch::storage {
 /// block-size ceiling.
 inline constexpr std::size_t kMaxDecompressedSize = std::size_t{1} << 26;
 
-/// Envelope scheme tags: the first byte of every compressed payload (row
-/// block bodies and columnar segment envelopes alike).
+/// Envelope scheme tags: the first byte of every compressed payload.
 ///
 ///   stored : u8 0 | u32le byte_count  | raw bytes
 ///   lz     : u8 1 | u32le byte_count  | (literal-run, match) token stream
@@ -83,8 +82,6 @@ struct SegmentEncodeResult {
 /// packed, so LZ rarely buys much on them — and a stored segment is
 /// decoded zero-copy straight from the file bytes (decompress_block_view
 /// returns a subspan), which is what makes the columnar scan path fast.
-/// Row-format block bodies keep plain compress_block: they compress well
-/// and are decoded once per block, not once per column.
 [[nodiscard]] std::vector<std::byte> compress_block_lazy(std::span<const std::byte> input);
 
 /// Append-in-place variants producing byte-identical envelopes while
@@ -127,13 +124,6 @@ void compress_block_lazy_append(std::span<const std::byte> input, std::vector<st
 /// allocates more than kMaxDecompressedSize).
 [[nodiscard]] std::optional<std::vector<std::byte>> decompress_block(
     std::span<const std::byte> input);
-
-/// Decompress into a caller-owned buffer, reusing its capacity. `out` is
-/// cleared and filled; on failure it is left cleared and false returned.
-/// This is the scan hot path: one scratch buffer per scan (or per parallel
-/// worker) instead of one allocation per block.
-[[nodiscard]] bool decompress_block_into(std::span<const std::byte> input,
-                                         std::vector<std::byte>& out);
 
 /// View the uncompressed bytes of a block: a stored block is returned as a
 /// subspan of `input` itself (zero copy — the columnar scan path decodes

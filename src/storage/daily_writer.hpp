@@ -2,10 +2,9 @@
 // paper's probes buffer flow logs locally and ship them to long-term
 // storage daily (§2.2); this writer buffers finished FlowRecords, assigns
 // each to the civil day its flow *started*, and appends day batches to the
-// lake whenever a buffer fills or the day rolls over. The on-disk block
-// format is the lake's choice (DataLake::set_write_format — columnar v3 by
-// default, row v2 for compatibility); the writer itself is format-blind
-// and preserves arrival order, never sorting a batch.
+// lake whenever a buffer fills or the day rolls over. The lake owns the
+// on-disk block format (columnar `.ewl` v3); the writer preserves arrival
+// order, never sorting a batch.
 //
 // Throughput: a flush hands the whole batch to DataLake::append, which —
 // when the lake was given an encode pool (DataLake::set_encode_pool) —

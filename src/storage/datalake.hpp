@@ -3,30 +3,25 @@
 // analytics methodology aggregates per day).
 //
 // Layout: one file per civil day under the lake root,
-//   flows_YYYY-MM-DD.ewl = magic "EWLK" | version | element*
+//   flows_YYYY-MM-DD.ewl = magic "EWLK" | version 3 | element*
 //
-// Format v2 (written by this code) is a stream of self-checking elements:
+// The file is a stream of self-checking elements:
 //
 //   block:  u32le body_len | u32le seq | u32le record_count | u32le crc32c
 //           | body                      (crc covers header fields + body)
 //   seal:   u32le 0xffffffff | u32le seal_magic | u64le cumulative_records
 //           | u32le cumulative_blocks | u32le crc32c
 //
-// Every append writes its blocks followed by a seal, fsyncs, and — if any
-// write fails while the process survives — rolls the file back to its
-// pre-append length, making appends atomic. A crash mid-append leaves a
-// torn tail after the last seal; scan/fsck detect it via CRCs and block
-// sequence numbers, and repair() truncates/quarantines so that no
-// corrupted byte is ever delivered as a record. Format v1 files
-// (u32le len | u32le fnv checksum | body, no seals) remain fully readable
-// and can be upgraded in place with migrate_to_v2().
-//
-// Format v3 (the default write format) keeps the v2 file framing —
-// identical block frames, seals, crash semantics — but each block body is
-// columnar (storage/columnar.hpp): per-field column segments behind a
-// zone map, enabling predicate-pushdown scans that skip whole blocks and
-// unreferenced columns. v1/v2/v3 files coexist in one lake; every reader
-// dispatches per block on the self-describing body.
+// Every block body is columnar (storage/columnar.hpp): per-field column
+// segments behind a zone map, enabling predicate-pushdown scans that skip
+// whole blocks and unreferenced columns. Every append writes its blocks
+// followed by a seal, fsyncs, and — if any write fails while the process
+// survives — rolls the file back to its pre-append length, making appends
+// atomic. A crash mid-append leaves a torn tail after the last seal;
+// scan/fsck detect it via CRCs and block sequence numbers, and repair()
+// truncates/quarantines so that no corrupted byte is ever delivered as a
+// record. Files carrying any other version byte are rejected with
+// kBadVersion and never overwritten.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +49,9 @@ class ThreadPool;
 
 namespace edgewatch::storage {
 
-/// On-disk format a lake writes. Reads auto-detect per file; appends to an
-/// existing day continue that file's format regardless of this setting.
-enum class LakeFormat : std::uint8_t {
-  kV2 = 2,  ///< row-oriented varint stream per block
-  kV3 = 3,  ///< columnar segments + zone map per block (storage/columnar.hpp)
-};
+/// Size of a block frame's header (body_len | seq | record_count | crc32c);
+/// the body starts this many bytes past the frame offset.
+inline constexpr std::size_t kBlockFrameHeaderSize = 16;
 
 /// Outcome of a day scan. Partial delivery is explicit: records_delivered
 /// counts what the callback saw, blocks_skipped counts damaged regions
@@ -87,14 +79,10 @@ struct ScanResult {
 };
 
 /// Scratch buffers reused across block decodes. One per scanning thread:
-/// the decompressor and the columnar decoder fill the same allocations
-/// block after block instead of paying fresh allocations each time.
+/// the columnar decoder fills the same allocations block after block
+/// instead of paying fresh allocations each time.
 struct ScanScratch {
-  std::vector<std::byte> decompressed;  ///< row-format (v1/v2) block bodies
-  ColumnScratch columns;                ///< columnar (v3) block bodies
-  /// Row→batch transposition for v1/v2 bodies on the batch scan path, so
-  /// every consumer sees one SoA shape regardless of the on-disk format.
-  exec::BatchStaging staging;
+  ColumnScratch columns;
 };
 
 /// Random-access view of one day file for parallel scanning: the raw file
@@ -104,8 +92,7 @@ struct ScanScratch {
 class DayBlockIndex {
  public:
   struct Block {
-    std::size_t offset = 0;       ///< Frame start within the file.
-    std::size_t header_size = 0;  ///< 16 (v2) or 8 (v1).
+    std::size_t offset = 0;  ///< Frame start within the file.
     std::uint32_t body_len = 0;
     std::uint32_t record_count = 0;
   };
@@ -114,8 +101,8 @@ class DayBlockIndex {
   /// header-less stub). When set, no blocks are available.
   [[nodiscard]] core::Errc fatal() const noexcept { return fatal_; }
   /// Day status before any block is decoded: kOk for a clean sealed file,
-  /// kCorrupt when damaged ranges were skipped during indexing,
-  /// kTruncated for an unsealed v2 tail.
+  /// kCorrupt when damaged ranges were skipped during indexing. An
+  /// unsealed but undamaged tail still reads kOk here (fsck reports it).
   [[nodiscard]] core::Errc baseline() const noexcept { return baseline_; }
   [[nodiscard]] const std::vector<Block>& blocks() const noexcept { return blocks_; }
   /// Every framed element of the file in stream order: the CRC-valid blocks
@@ -135,7 +122,7 @@ class DayBlockIndex {
   [[nodiscard]] std::uint32_t damaged_ranges() const noexcept { return damaged_ranges_; }
   /// The compressed body of an indexed block.
   [[nodiscard]] std::span<const std::byte> body(const Block& b) const noexcept {
-    return std::span<const std::byte>{*data_}.subspan(b.offset + b.header_size, b.body_len);
+    return std::span<const std::byte>{*data_}.subspan(b.offset + kBlockFrameHeaderSize, b.body_len);
   }
 
  private:
@@ -150,21 +137,22 @@ class DayBlockIndex {
 };
 
 /// Cheap identity of one on-disk day file: stat facts plus the cumulative
-/// block count of the trailing seal (v2's durability receipt). Two reads of
-/// the same path compare equal iff the file was not rewritten in between —
+/// block count of the trailing seal (the file's durability receipt). Two
+/// reads of the same path compare equal iff the file was not rewritten in
+/// between —
 /// the staleness test shared by fsck reporting and the rollup store
 /// (query::RollupStore rebuilds a day's rollups only when the lake file's
 /// identity changed since the rollup was built).
 struct FileIdentity {
   std::uint64_t size = 0;
   std::int64_t mtime_ns = 0;    ///< last_write_time, ns since filesystem epoch.
-  std::uint32_t seal_seq = 0;   ///< cumulative_blocks of a trailing v2 seal; 0 otherwise.
+  std::uint32_t seal_seq = 0;   ///< cumulative_blocks of a trailing seal; 0 otherwise.
 
   [[nodiscard]] bool exists() const noexcept { return size != 0 || mtime_ns != 0; }
   bool operator==(const FileIdentity&) const noexcept = default;
 };
 
-/// The one place that stats a lake-format file for identity purposes
+/// The one place that stats a lake file for identity purposes
 /// (size + mtime + trailing-seal sequence). Missing/unreadable files yield
 /// a default identity (exists() == false).
 [[nodiscard]] FileIdentity file_identity(const std::filesystem::path& path);
@@ -174,7 +162,7 @@ struct DayHealth {
   core::CivilDate day{};
   FileIdentity identity{};  ///< As stat'ed by the same helper the rollup store uses.
   std::uint8_t version = 0;
-  bool sealed = false;       ///< v2: last valid element is a seal.
+  bool sealed = false;       ///< Last valid element is a seal.
   bool torn_tail = false;    ///< Unparseable bytes at (or to) the end.
   bool repaired = false;     ///< repair() rewrote the file.
   std::uint64_t blocks_ok = 0;
@@ -233,16 +221,15 @@ class DataLake {
   using RowSink = core::FunctionRef<void(const flow::FlowRecord&)>;
   using BatchSink = core::FunctionRef<void(const exec::RecordBatch&)>;
 
-  /// Stream every recoverable record of a day. Damaged v2/v3 blocks are
-  /// skipped (the reader resynchronizes on block sequence numbers) and
-  /// reported; a corrupt v1 file delivers its valid prefix. No record from
-  /// a block that failed its checksum is ever delivered.
+  /// Stream every recoverable record of a day. Damaged blocks are skipped
+  /// (the reader resynchronizes on block sequence numbers) and reported. No
+  /// record from a block that failed its checksum is ever delivered.
   ///
   /// Templated only to bind the callable to a RowSink through a named
   /// lvalue (FunctionRef rejects temporaries by design); dispatch is
   /// non-virtual, the body is the out-of-line scan_day_impl. This is the
-  /// compatibility shim over the batch path: v3 blocks decode as batches
-  /// and replay through exec::materialize_rows.
+  /// row shim over the batch path: blocks decode as batches and replay
+  /// through exec::materialize_rows.
   template <typename Fn,
             typename = std::enable_if_t<std::is_invocable_v<Fn&, const flow::FlowRecord&>>>
   ScanResult scan_day(core::CivilDate day, Fn&& fn) const {
@@ -250,12 +237,10 @@ class DataLake {
     return scan_day_impl(day, nullptr, sink);
   }
 
-  /// Selective scan with predicate pushdown: v3 blocks whose zone map
-  /// cannot match are skipped without decompressing anything (counted in
-  /// ScanResult::blocks_pruned), surviving v3 blocks decode only the
-  /// column segments the filter and the callback need, and v1/v2 blocks
-  /// fall back to decode-then-filter — the delivered record set is
-  /// identical across formats.
+  /// Selective scan with predicate pushdown: blocks whose zone map cannot
+  /// match are skipped without decompressing anything (counted in
+  /// ScanResult::blocks_pruned); surviving blocks decode only the column
+  /// segments the filter and the callback need.
   template <typename Fn,
             typename = std::enable_if_t<std::is_invocable_v<Fn&, const flow::FlowRecord&>>>
   ScanResult scan_day(core::CivilDate day, const ScanPredicate& predicate, Fn&& fn) const {
@@ -264,10 +249,9 @@ class DataLake {
   }
 
   /// Native batch delivery — the primary scan path: one RecordBatch per
-  /// surviving block, filled straight from the decode scratch. Columnar
-  /// blocks pass dictionary codes through without materializing a single
-  /// string; v1/v2 blocks are staged row→batch so consumers see one shape.
-  /// Same pruning/skip accounting and damage semantics as the row scan; a
+  /// surviving block, filled straight from the decode scratch. Dictionary
+  /// codes pass through without materializing a single string. Same
+  /// pruning/skip accounting and damage semantics as the row scan; a
   /// filtered batch carries its selection vector instead of re-copying the
   /// surviving rows.
   template <typename Fn,
@@ -290,23 +274,13 @@ class DataLake {
   /// walk over the blocks.
   [[nodiscard]] DayBlockIndex load_day_blocks(core::CivilDate day) const;
 
-  /// Decode every record of one indexed block body into `fn`, reusing
-  /// `scratch` instead of allocating per block. Returns false on
-  /// codec-level damage — records decoded before the damaged byte are
-  /// still delivered for row-format bodies (columnar bodies decode
-  /// atomically), matching scan_day's skip semantics.
-  static bool decode_block(std::span<const std::byte> body, ScanScratch& scratch,
-                           std::uint64_t& records_delivered,
-                           core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                           const PrevBlockResolver* prev_blocks = nullptr);
-
   /// Scan one indexed block body with optional predicate pushdown,
   /// folding delivery/skip/prune accounting into `res`. The workhorse
-  /// behind scan_day and the parallel day aggregators: format dispatch is
-  /// per block (the body self-describes as columnar or row-stream), so one
-  /// scan loop serves v1/v2/v3 files alike. `record_count` is the frame
-  /// header's count (cross-checked against a v3 zone map; pass
-  /// kAnyRecordCount when unknown). `prev_blocks`, when given, resolves
+  /// behind scan_day. A body that is not a well-formed columnar block is
+  /// counted as skipped and corrupt; blocks decode atomically, so a damaged
+  /// one delivers nothing. `record_count` is the frame header's count
+  /// (cross-checked against the zone map; pass kAnyRecordCount when
+  /// unknown). `prev_blocks`, when given, resolves
   /// layout-2 dictionary delta chains on random access (pass a resolver
   /// over the day's block adjacency — see PrevBlockResolver); without it a
   /// delta block only decodes when the scratch's chain cache holds its
@@ -317,11 +291,11 @@ class DataLake {
                          const PrevBlockResolver* prev_blocks = nullptr);
 
   /// Batch counterpart of scan_block: the block's surviving rows are
-  /// delivered as one RecordBatch (columnar bodies view the decode scratch
-  /// directly; row bodies stage through scratch.staging). Accounting is
-  /// identical to scan_block — prune/skip/zone-lie handling, delivered-row
-  /// counts, valid-prefix delivery for damaged row-format bodies. An empty
-  /// post-filter block invokes no sink call.
+  /// delivered as one RecordBatch viewing the decode scratch directly — the
+  /// workhorse behind scan_day_batches and the parallel day aggregators.
+  /// Accounting is identical to scan_block (prune/skip/zone-lie handling,
+  /// delivered-row counts). An empty post-filter block invokes no sink
+  /// call.
   static void scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
                                  const ScanPredicate* predicate, ScanScratch& scratch,
                                  ScanResult& res, BatchSink fn,
@@ -340,23 +314,12 @@ class DataLake {
   /// Repair one day / every day: quarantine damaged regions into
   /// `quarantine/` under the lake root, drop torn tails, renumber and
   /// reseal the surviving blocks, atomically replacing the file via
-  /// write-temp + fsync + rename. A v2/v3 file keeps its format; a v1 file
-  /// is upgraded to v2. For v3 files the pre-scan deep-verifies every
-  /// block (column structure, dictionaries, zone-map truthfulness), so a
-  /// lying zone map or torn column segment is quarantined even though its
-  /// CRC frame is intact.
+  /// write-temp + fsync + rename. The pre-scan deep-verifies every block
+  /// (column structure, dictionaries, zone-map truthfulness), so a lying
+  /// zone map or torn column segment is quarantined even though its CRC
+  /// frame is intact.
   DayHealth repair_day(core::CivilDate day);
   LakeHealthReport repair();
-
-  /// Rewrite a v1/v3 day file as v2 (no-op on a file already at v2).
-  /// v3 input is transcoded record-by-record via rewrite_day.
-  core::Result<void> migrate_to_v2(core::CivilDate day);
-
-  /// Transcode one day to the target format: decode every recoverable
-  /// record, re-encode at `format`, swap in atomically (temp + fsync +
-  /// rename). Unhealthy days are repaired (damage quarantined) first so
-  /// the rewrite never launders corrupt bytes into a clean-looking file.
-  core::Result<void> rewrite_day(core::CivilDate day, LakeFormat format);
 
   /// Cut a day file back to exactly `size` bytes. Crash-recovery resume
   /// (runtime::Supervisor): the pipeline checkpoint records each day's
@@ -392,18 +355,13 @@ class DataLake {
     file_factory_ = factory ? std::move(factory) : FileFactory{make_posix_file};
   }
 
-  /// Format for freshly created day files (appends to an existing day
-  /// always continue its on-disk format). Defaults to kV3.
-  void set_write_format(LakeFormat format) noexcept { write_format_ = format; }
-  [[nodiscard]] LakeFormat write_format() const noexcept { return write_format_; }
-
-  /// Catalog the v3 writer uses to materialize per-record service ids
+  /// Catalog the writer uses to materialize per-record service ids
   /// (zone maps + service column). nullptr = ServiceCatalog::standard().
   void set_write_catalog(const services::ServiceCatalog* catalog) noexcept {
     write_catalog_ = catalog;
   }
 
-  /// Pipeline the v3 encode over `pool`: an append hands each full block
+  /// Pipeline the block encode over `pool`: an append hands each full block
   /// (serialize → columnar transpose → per-segment compress) to the pool
   /// and commits the frames in order, so the sealed file is byte-identical
   /// to the serial writer's — only the ingest thread's wall time changes.
@@ -424,7 +382,7 @@ class DataLake {
   /// the whole-file read-and-reparse that otherwise precedes every append
   /// — O(appends · file size) for a day written in many batches. The cache
   /// is validated against size+mtime before use and dropped on any failed
-  /// or out-of-band mutation (truncate, remove, repair, rewrite), so an
+  /// or out-of-band mutation (truncate, remove, repair), so an
   /// externally modified file simply falls back to the full parse. On by
   /// default; disable to force the seed behaviour.
   void set_append_cursor_cache(bool enabled) {
@@ -455,30 +413,25 @@ class DataLake {
     std::int64_t mtime_ns = 0;
     std::uint32_t next_seq = 0;
     std::uint64_t cum_records = 0;
-    std::uint8_t version = 0;
   };
 
   [[nodiscard]] std::filesystem::path day_path(core::CivilDate day) const;
   /// append() minus the observability envelope (span + outcome counters).
   core::Result<std::uint64_t> append_impl(core::CivilDate day,
                                           std::span<const flow::FlowRecord> records);
-  DayHealth repair_day_impl(core::CivilDate day, bool force_rewrite);
   ScanResult scan_day_impl(core::CivilDate day, const ScanPredicate* predicate,
                            RowSink fn) const;
   ScanResult scan_day_batches_impl(core::CivilDate day, const ScanPredicate* predicate,
                                    BatchSink fn) const;
   [[nodiscard]] const services::ServiceCatalog& effective_catalog() const noexcept;
-  /// Chunk `records` into block frames of the requested on-disk version
-  /// (plus, for v2/v3, a trailing seal), appending to `out`. Shared by
-  /// append() and rewrite_day(); v3 blocks go through the encode pipeline
-  /// when one is configured.
+  /// Chunk `records` into columnar block frames plus a trailing seal,
+  /// appending to `out`; blocks go through the encode pipeline when one is
+  /// configured.
   void encode_day_elements(core::ByteWriter& out, std::span<const flow::FlowRecord> records,
-                           std::uint8_t version, std::uint32_t next_seq,
-                           std::uint64_t cum_records);
+                           std::uint32_t next_seq, std::uint64_t cum_records);
 
   std::filesystem::path root_;
   FileFactory file_factory_;
-  LakeFormat write_format_ = LakeFormat::kV3;
   const services::ServiceCatalog* write_catalog_ = nullptr;
   core::ThreadPool* encode_pool_ = nullptr;
   std::size_t encode_max_inflight_ = 0;

@@ -17,6 +17,7 @@
 #include "storage/columnar.hpp"
 #include "storage/compress.hpp"
 #include "storage/datalake.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 
@@ -227,11 +228,10 @@ TEST(Fuzz, MutatedValidInputsSurviveParsers) {
 // ------------------------------------------------ lake truncation sweep
 
 TEST(Fuzz, TruncatedLakeFileSurvivesFsckAndRepairAtEveryOffset) {
-  // A sealed day file — row v2 AND columnar v3 — cut at EVERY byte offset:
-  // fsck and repair must never crash, and at most the final block can be
-  // damaged by the cut — everything sealed before it stays recoverable.
-  const auto root = std::filesystem::temp_directory_path() / "ew_fuzz_trunc";
-  std::filesystem::remove_all(root);
+  // A sealed day file cut at EVERY byte offset: fsck and repair must never
+  // crash, at most the final block can be damaged by the cut, and what
+  // survives is exactly a prefix of the records that were appended.
+  const ew::test::TempDir root{"ew_fuzz_trunc"};
 
   // Build a small sealed file via two appends (two seal points).
   const ew::core::CivilDate day{2016, 5, 4};
@@ -247,52 +247,56 @@ TEST(Fuzz, TruncatedLakeFileSurvivesFsckAndRepairAtEveryOffset) {
     r.server_name = "fuzz.example.com";
     batch.push_back(std::move(r));
   }
-  for (const auto format : {ew::storage::LakeFormat::kV2, ew::storage::LakeFormat::kV3}) {
-    SCOPED_TRACE(static_cast<int>(format));
-    std::vector<std::byte> sealed;
-    {
-      ew::storage::DataLake lake{root / "master"};
-      lake.set_write_format(format);
-      ASSERT_TRUE(lake.append(day, batch));
-      ASSERT_TRUE(lake.append(day, batch));  // second block group + reseal
-      const auto path = lake.root() / ew::storage::DataLake::day_filename(day);
-      std::ifstream in(path, std::ios::binary | std::ios::ate);
-      sealed.resize(static_cast<std::size_t>(in.tellg()));
-      in.seekg(0);
-      in.read(reinterpret_cast<char*>(sealed.data()),
-              static_cast<std::streamsize>(sealed.size()));
-    }
-    ASSERT_GT(sealed.size(), 32u);
-
-    for (std::size_t cut = 0; cut <= sealed.size(); ++cut) {
-      const auto dir = root / "sweep";
-      std::filesystem::remove_all(dir);
-      ew::storage::DataLake lake{dir};
-      // Materialize the truncated file where the lake expects the day.
-      std::filesystem::create_directories(dir);
-      {
-        std::ofstream out(dir / ew::storage::DataLake::day_filename(day),
-                          std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char*>(sealed.data()),
-                  static_cast<std::streamsize>(cut));
-      }
-
-      const auto before = lake.fsck_day(day);  // must not crash
-      const auto health = lake.repair_day(day);
-      EXPECT_LE(health.blocks_quarantined, 1u) << "cut=" << cut;
-      // Whatever repair left behind must now scan clean end to end.
-      const auto after = lake.fsck_day(day);
-      if (std::filesystem::exists(dir / ew::storage::DataLake::day_filename(day))) {
-        EXPECT_TRUE(after.healthy()) << "cut=" << cut << " errc="
-                                     << static_cast<int>(after.errc);
-        EXPECT_LE(after.records_ok, 12u);
-        (void)lake.read_day(day);  // decoding the survivors must not crash
-      }
-      (void)before;
-    }
-    std::filesystem::remove_all(root / "master");
+  const auto wire = [](const ew::flow::FlowRecord& r) {
+    ew::core::ByteWriter w;
+    ew::storage::encode_record(r, w);
+    return std::vector<std::byte>(w.view().begin(), w.view().end());
+  };
+  std::vector<std::vector<std::byte>> appended;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& r : batch) appended.push_back(wire(r));
   }
-  std::filesystem::remove_all(root);
+
+  std::vector<std::byte> sealed;
+  {
+    ew::storage::DataLake lake{root.path / "master"};
+    ASSERT_TRUE(lake.append(day, batch));
+    ASSERT_TRUE(lake.append(day, batch));  // second block group + reseal
+    const auto path = lake.root() / ew::storage::DataLake::day_filename(day);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    sealed.resize(static_cast<std::size_t>(in.tellg()));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(sealed.data()), static_cast<std::streamsize>(sealed.size()));
+  }
+  ASSERT_GT(sealed.size(), 32u);
+
+  for (std::size_t cut = 0; cut <= sealed.size(); ++cut) {
+    const auto dir = root.path / "sweep";
+    std::filesystem::remove_all(dir);
+    ew::storage::DataLake lake{dir};
+    // Materialize the truncated file where the lake expects the day.
+    {
+      std::ofstream out(dir / ew::storage::DataLake::day_filename(day),
+                        std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(sealed.data()),
+                static_cast<std::streamsize>(cut));
+    }
+
+    (void)lake.fsck_day(day);  // must not crash
+    const auto health = lake.repair_day(day);
+    EXPECT_LE(health.blocks_quarantined, 1u) << "cut=" << cut;
+    // Whatever repair left behind must now scan clean end to end.
+    if (std::filesystem::exists(dir / ew::storage::DataLake::day_filename(day))) {
+      const auto after = lake.fsck_day(day);
+      EXPECT_TRUE(after.healthy()) << "cut=" << cut << " errc="
+                                   << static_cast<int>(after.errc);
+      const auto survivors = lake.read_day(day);
+      ASSERT_LE(survivors.size(), appended.size()) << "cut=" << cut;
+      for (std::size_t i = 0; i < survivors.size(); ++i) {
+        EXPECT_EQ(wire(survivors[i]), appended[i]) << "cut=" << cut << " record " << i;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ columnar body mutations

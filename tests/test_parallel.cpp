@@ -25,10 +25,10 @@
 #include "core/thread_pool.hpp"
 #include "probe/sharded_probe.hpp"
 #include "storage/codec.hpp"
-#include "storage/compress.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/packets.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 using ew::core::IPv4Address;
@@ -687,17 +687,7 @@ TEST(ShardedProbeBurst, BufferedFramesNeverExceedQueueCapacity) {
 
 namespace {
 
-struct TempLakeDir {
-  std::filesystem::path path;
-  TempLakeDir() {
-    path = std::filesystem::path(::testing::TempDir()) /
-           ("ew_parallel_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-  }
-  ~TempLakeDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
+using TempLakeDir = ew::test::TempDir;
 
 void expect_aggregates_equal(const ew::analytics::DayAggregate& a,
                              const ew::analytics::DayAggregate& b) {
@@ -834,23 +824,4 @@ TEST(ParallelAnalytics, ProjectedScanReproducesFullDecodeAggregate) {
   ASSERT_TRUE(full.scan.ok());
   EXPECT_EQ(projected.scan.records_delivered, full.scan.records_delivered);
   expect_aggregates_equal(projected.aggregate, full.aggregate);
-}
-
-TEST(ParallelScan, DecompressIntoReusesScratchBuffer) {
-  std::vector<std::byte> input;
-  for (int i = 0; i < 10000; ++i) {
-    input.push_back(static_cast<std::byte>(i % 7));  // compressible
-  }
-  const auto compressed = ew::storage::compress_block(input);
-  ew::storage::ScanScratch scratch;
-  ASSERT_TRUE(ew::storage::decompress_block_into(compressed, scratch.decompressed));
-  EXPECT_EQ(scratch.decompressed, input);
-  const auto* before = scratch.decompressed.data();
-  ASSERT_TRUE(ew::storage::decompress_block_into(compressed, scratch.decompressed));
-  EXPECT_EQ(scratch.decompressed, input);
-  EXPECT_EQ(scratch.decompressed.data(), before);  // capacity reused, no realloc
-
-  ASSERT_FALSE(
-      ew::storage::decompress_block_into(std::span<const std::byte>{}, scratch.decompressed));
-  EXPECT_TRUE(scratch.decompressed.empty());  // failure leaves it cleared
 }

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
 #include "synth/scenario.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 using ew::core::CivilDate;
@@ -54,11 +56,11 @@ struct Corpus {
 };
 
 Corpus& corpus() {
-  static Corpus* c = [] {
-    auto* corpus = new Corpus;
-    corpus->root = std::filesystem::path(::testing::TempDir()) / "ew_query_corpus";
-    std::error_code ec;
-    std::filesystem::remove_all(corpus->root, ec);
+  // Destroyed at exit, which removes the corpus directory. Every gtest case
+  // runs as its own ctest process, so the path must be unique per process.
+  static const std::unique_ptr<Corpus> c = [] {
+    auto corpus = std::make_unique<Corpus>();
+    corpus->root = ew::test::unique_temp_path("ew_query_corpus");
     corpus->scenario = ew::synth::build_paper_scenario(11, 0.1);
     corpus->lake = std::make_unique<ew::storage::DataLake>(corpus->root / "lake");
     const ew::synth::WorkloadGenerator gen{corpus->scenario};
@@ -221,7 +223,7 @@ TEST(RollupStore, FsckAndStoreShareOneIdentity) {
   EXPECT_EQ(via_lake, via_fsck);
   EXPECT_EQ(via_lake, direct);
   EXPECT_TRUE(via_lake.exists());
-  EXPECT_GT(via_lake.seal_seq, 0u);  // sealed v2 file carries its receipt
+  EXPECT_GT(via_lake.seal_seq, 0u);  // a sealed file carries its receipt
 
   EXPECT_FALSE(ew::storage::file_identity(c.lake->root() / "nope.ewl").exists());
 }

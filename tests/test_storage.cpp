@@ -12,6 +12,7 @@
 #include "storage/daily_writer.hpp"
 #include "storage/datalake.hpp"
 #include "storage/fault_injection.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
@@ -85,17 +86,7 @@ void expect_equal(const FlowRecord& a, const FlowRecord& b) {
   EXPECT_EQ(a.content_type, b.content_type);
 }
 
-struct TempDir {
-  fs::path path;
-  TempDir() : path(fs::temp_directory_path() /
-                   ("ewlake_" + std::to_string(::getpid()) + "_" +
-                    std::to_string(counter()++))) {}
-  ~TempDir() { fs::remove_all(path); }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
-};
+using TempDir = ew::test::TempDir;
 
 std::vector<FlowRecord> sample_batch(std::uint64_t seed, std::size_t n) {
   std::vector<FlowRecord> out;
@@ -112,27 +103,6 @@ std::string slurp(const fs::path& path) {
 void spew(const fs::path& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << contents;
-}
-
-/// Hand-rolled format-v1 writer (the pre-seal format: per block
-/// u32le len | u32le truncated-fnv1a64(uncompressed) | compressed body).
-void write_v1_file(const fs::path& path, std::span<const FlowRecord> records,
-                   std::size_t block_records = 512) {
-  ByteWriter out;
-  out.string("EWLK");
-  out.u8(1);
-  for (std::size_t first = 0; first < records.size(); first += block_records) {
-    const std::size_t n = std::min(block_records, records.size() - first);
-    ByteWriter block;
-    for (std::size_t i = 0; i < n; ++i) ew::storage::encode_record(records[first + i], block);
-    const auto compressed = ew::storage::compress_block(block.view());
-    out.u32le(static_cast<std::uint32_t>(compressed.size()));
-    out.u32le(static_cast<std::uint32_t>(ew::core::fnv1a64(block.view())));
-    out.bytes(compressed);
-  }
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(out.view().data()),
-          static_cast<std::streamsize>(out.size()));
 }
 
 /// Every delivered record must be byte-identical to some prefix-preserving
@@ -469,7 +439,7 @@ TEST(DataLake, CsvExportWritesHeaderAndRows) {
   EXPECT_EQ(rows, 3);
 }
 
-// ------------------------------------------------------- durability (v2)
+// ------------------------------------------------------------ durability
 
 TEST(DataLakeV2, CleanDayIsSealedAndHealthy) {
   TempDir dir;
@@ -591,7 +561,7 @@ TEST(DataLakeV2, RepairQuarantinesAndReseals) {
   EXPECT_TRUE(fs::exists(dir.path / "quarantine"));
   EXPECT_FALSE(fs::is_empty(dir.path / "quarantine"));
 
-  // The repaired file is a pristine sealed v2 day.
+  // The repaired file is a pristine sealed day.
   const auto health = lake.fsck_day(day);
   EXPECT_TRUE(health.healthy());
   EXPECT_TRUE(health.sealed);
@@ -738,84 +708,6 @@ TEST(FaultMatrix, EveryInjectedFaultIsRecoveredOrQuarantined) {
   }
 }
 
-// ------------------------------------------------- v1 compat & migration
-
-TEST(DataLakeV1, V1FilesRemainReadable) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2014, 1, 1};
-  const auto records = sample_batch(7, 1500);
-  write_v1_file(dir.path / ew::storage::DataLake::day_filename(day), records);
-
-  ew::storage::ScanResult status;
-  const auto delivered = lake.read_day(day, status);
-  EXPECT_TRUE(status.ok());
-  ASSERT_EQ(delivered.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) expect_equal(delivered[i], records[i]);
-  EXPECT_EQ(lake.fsck_day(day).version, 1);
-}
-
-TEST(DataLakeV1, AppendToV1FileStaysV1) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2014, 1, 2};
-  const auto batch1 = sample_batch(7, 400);
-  write_v1_file(dir.path / ew::storage::DataLake::day_filename(day), batch1);
-  const auto batch2 = sample_batch(8, 400);
-  ASSERT_TRUE(lake.append(day, batch2).has_value());
-  EXPECT_EQ(lake.fsck_day(day).version, 1);  // no silent format change
-  EXPECT_EQ(lake.read_day(day).size(), batch1.size() + batch2.size());
-}
-
-TEST(DataLakeV1, MigrateToV2PreservesEveryRecord) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2014, 2, 2};
-  const auto records = sample_batch(9, 1500);
-  write_v1_file(dir.path / ew::storage::DataLake::day_filename(day), records);
-
-  ASSERT_TRUE(lake.migrate_to_v2(day).ok());
-  const auto health = lake.fsck_day(day);
-  EXPECT_EQ(health.version, 2);
-  EXPECT_TRUE(health.sealed);
-  EXPECT_TRUE(health.healthy());
-
-  ew::storage::ScanResult status;
-  const auto delivered = lake.read_day(day, status);
-  EXPECT_TRUE(status.ok());
-  ASSERT_EQ(delivered.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) expect_equal(delivered[i], records[i]);
-
-  // Idempotent, and the upgraded day seals future appends.
-  EXPECT_TRUE(lake.migrate_to_v2(day).ok());
-  ASSERT_TRUE(lake.append(day, sample_batch(10, 10)).has_value());
-  EXPECT_TRUE(lake.fsck_day(day).sealed);
-}
-
-TEST(DataLakeV1, TornV1TailDeliversPrefixAndRepairsToV2) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2014, 3, 3};
-  const auto records = sample_batch(11, 1024);  // two 512-record v1 blocks
-  const auto path = dir.path / ew::storage::DataLake::day_filename(day);
-  write_v1_file(path, records);
-  auto contents = slurp(path);
-  spew(path, contents.substr(0, contents.size() - 10));  // torn final block
-
-  ew::storage::ScanResult status;
-  const auto delivered = lake.read_day(day, status);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(delivered.size(), 512u);  // the valid prefix, nothing invented
-  expect_subsequence(delivered, records);
-
-  const auto report = lake.repair_day(day);
-  EXPECT_TRUE(report.repaired);
-  EXPECT_TRUE(lake.fsck_day(day).healthy());
-  EXPECT_EQ(lake.fsck_day(day).version, 2);
-  EXPECT_EQ(lake.read_day(day).size(), 512u);
-  EXPECT_FALSE(fs::is_empty(dir.path / "quarantine"));
-}
-
 TEST(DataLake, ForeignFileIsRejectedNotParsed) {
   TempDir dir;
   ew::storage::DataLake lake{dir.path};
@@ -824,6 +716,122 @@ TEST(DataLake, ForeignFileIsRejectedNotParsed) {
   EXPECT_EQ(lake.scan_day(day, [](const FlowRecord&) {}).errc, ew::core::Errc::kBadMagic);
   EXPECT_EQ(lake.fsck_day(day).errc, ew::core::Errc::kBadMagic);
   EXPECT_FALSE(lake.append(day, sample_batch(1, 5)).has_value());
+}
+
+TEST(DataLake, RowFormatVersionHeadersAreRejected) {
+  // Versions 1 and 2 held row-format bodies; this lake reads and writes
+  // version 3 only, so they get kBadVersion like any foreign version.
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
+    SCOPED_TRACE(static_cast<int>(version));
+    TempDir dir;
+    const CivilDate day{2015, 9, 10};
+    const auto path = dir.path / ew::storage::DataLake::day_filename(day);
+    {
+      ew::storage::DataLake writer{dir.path};
+      ASSERT_TRUE(writer.append(day, sample_batch(2, 100)).has_value());
+    }
+    auto contents = slurp(path);
+    ASSERT_EQ(contents[4], 3);
+    contents[4] = static_cast<char>(version);
+    spew(path, contents);
+
+    ew::storage::DataLake lake{dir.path};
+    const auto health = lake.fsck_day(day);
+    EXPECT_EQ(health.errc, ew::core::Errc::kBadVersion);
+    EXPECT_EQ(health.version, version);
+    std::size_t batches = 0;
+    const auto scan =
+        lake.scan_day_batches(day, [&](const ew::exec::RecordBatch&) { ++batches; });
+    EXPECT_EQ(scan.errc, ew::core::Errc::kBadVersion);
+    EXPECT_EQ(scan.records_delivered, 0u);
+    EXPECT_EQ(batches, 0u);
+
+    // Not ours to overwrite: append refuses and leaves every byte in place.
+    const auto appended = lake.append(day, sample_batch(3, 10));
+    ASSERT_FALSE(appended.has_value());
+    EXPECT_EQ(appended.error(), ew::core::Errc::kBadVersion);
+    EXPECT_EQ(slurp(path), contents);
+  }
+}
+
+namespace {
+
+void put_frame(ByteWriter& out, std::uint32_t seq, std::uint32_t records,
+               std::span<const std::byte> body) {
+  ByteWriter header;
+  header.u32le(static_cast<std::uint32_t>(body.size()));
+  header.u32le(seq);
+  header.u32le(records);
+  out.bytes(header.view());
+  out.u32le(ew::core::crc32c(body, ew::core::crc32c(header.view())));
+  out.bytes(body);
+}
+
+void put_seal(ByteWriter& out, std::uint64_t records, std::uint32_t blocks) {
+  ByteWriter seal;
+  seal.u32le(0xffffffffu);
+  seal.u32le(0x324c5745u);
+  seal.u64le(records);
+  seal.u32le(blocks);
+  out.bytes(seal.view());
+  out.u32le(ew::core::crc32c(seal.view()));
+}
+
+}  // namespace
+
+TEST(DataLake, NonColumnarBlockIsSkippedAndQuarantined) {
+  // A version-3 file whose middle frame is CRC-valid but carries a
+  // row-format body (compressed encode_record stream): the frame checks
+  // out, the body does not, so it is a skipped, corrupt block.
+  TempDir dir;
+  const CivilDate day{2015, 9, 11};
+  const auto& catalog = ew::services::ServiceCatalog::standard();
+  const auto first = sample_batch(4, 50), row = sample_batch(5, 40), last = sample_batch(6, 30);
+  ByteWriter file;
+  file.string("EWLK");
+  file.u8(3);
+  ByteWriter body;
+  ew::storage::encode_columnar_block(first, catalog, body);
+  put_frame(file, 0, 50, body.view());
+  ByteWriter stream;
+  for (const auto& r : row) ew::storage::encode_record(r, stream);
+  put_frame(file, 1, 40, ew::storage::compress_block(stream.view()));
+  body.clear();
+  ew::storage::encode_columnar_block(last, catalog, body);
+  put_frame(file, 2, 30, body.view());
+  put_seal(file, 120, 3);
+  spew(dir.path / ew::storage::DataLake::day_filename(day),
+       std::string(reinterpret_cast<const char*>(file.view().data()), file.size()));
+
+  ew::storage::DataLake lake{dir.path};
+  std::vector<FlowRecord> expected = first;
+  expected.insert(expected.end(), last.begin(), last.end());
+  std::size_t rows = 0;
+  const auto batches =
+      lake.scan_day_batches(day, [&](const ew::exec::RecordBatch& b) { rows += b.rows; });
+  EXPECT_EQ(batches.errc, ew::core::Errc::kCorrupt);
+  EXPECT_EQ(batches.blocks_skipped, 1u);
+  EXPECT_EQ(batches.records_delivered, expected.size());
+  EXPECT_EQ(rows, expected.size());
+  ew::storage::ScanResult status;
+  const auto delivered = lake.read_day(day, status);
+  EXPECT_EQ(status.errc, ew::core::Errc::kCorrupt);
+  EXPECT_EQ(status.blocks_skipped, 1u);
+  ASSERT_EQ(delivered.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) expect_equal(delivered[i], expected[i]);
+
+  const auto health = lake.fsck_day(day);
+  EXPECT_FALSE(health.healthy());
+  EXPECT_EQ(health.blocks_quarantined, 1u);
+  EXPECT_EQ(health.records_lost, 40u);
+
+  const auto report = lake.repair_day(day);
+  EXPECT_TRUE(report.repaired);
+  EXPECT_EQ(report.blocks_quarantined, 1u);
+  EXPECT_FALSE(fs::is_empty(dir.path / "quarantine"));
+  EXPECT_TRUE(lake.fsck_day(day).healthy());
+  ASSERT_EQ(lake.read_day(day, status).size(), expected.size());
+  EXPECT_TRUE(status.ok());
 }
 
 // ------------------------------------------------- writer failure handling
@@ -945,8 +953,6 @@ TEST(ColumnarV3, BodyRoundTripAndZonePeek) {
   const auto records = varied_batch(31, 1000, day);
   ByteWriter body;
   ew::storage::encode_columnar_block(records, ew::services::ServiceCatalog::standard(), body);
-  ASSERT_TRUE(ew::storage::is_columnar_block(body.view()));
-
   const auto zone = ew::storage::peek_zone_map(body.view());
   ASSERT_TRUE(zone.has_value());
   EXPECT_EQ(zone->record_count, records.size());
@@ -988,66 +994,6 @@ TEST(ColumnarV3, TruncatedBodySweepDecodesAtomically) {
     EXPECT_EQ(status, ew::storage::BlockDecodeStatus::kCorrupt) << "prefix length " << len;
     EXPECT_EQ(delivered, 0u) << "prefix length " << len;
   }
-}
-
-TEST(DataLakeV3, FormatControlsAndAppendContinuity) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  EXPECT_EQ(lake.write_format(), ew::storage::LakeFormat::kV3);
-
-  const CivilDate v2_day{2017, 2, 1}, v3_day{2017, 2, 2};
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
-  ASSERT_TRUE(lake.append(v2_day, sample_batch(1, 100)).has_value());
-  EXPECT_EQ(lake.fsck_day(v2_day).version, 2);
-
-  lake.set_write_format(ew::storage::LakeFormat::kV3);
-  ASSERT_TRUE(lake.append(v3_day, sample_batch(2, 100)).has_value());
-  EXPECT_EQ(lake.fsck_day(v3_day).version, 3);
-
-  // Appends continue the file's existing format, whatever the lake-wide
-  // default says — a day file never mixes body formats.
-  ASSERT_TRUE(lake.append(v2_day, sample_batch(3, 100)).has_value());
-  EXPECT_EQ(lake.fsck_day(v2_day).version, 2);
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
-  ASSERT_TRUE(lake.append(v3_day, sample_batch(4, 100)).has_value());
-  EXPECT_EQ(lake.fsck_day(v3_day).version, 3);
-
-  for (const auto day : {v2_day, v3_day}) {
-    EXPECT_TRUE(lake.fsck_day(day).healthy());
-    EXPECT_EQ(lake.read_day(day).size(), 200u);
-  }
-}
-
-TEST(DataLakeV3, RewriteTranscodesBothWays) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2017, 3, 1};
-  const auto records = varied_batch(33, 9000, day);
-  ASSERT_TRUE(lake.append(day, records).has_value());
-  const auto path = dir.path / ew::storage::DataLake::day_filename(day);
-  const auto v3_bytes = slurp(path);
-
-  ASSERT_TRUE(lake.rewrite_day(day, ew::storage::LakeFormat::kV2).has_value());
-  EXPECT_EQ(lake.fsck_day(day).version, 2);
-  EXPECT_TRUE(lake.fsck_day(day).healthy());
-  {
-    ew::storage::ScanResult status;
-    const auto delivered = lake.read_day(day, status);
-    EXPECT_TRUE(status.ok());
-    ASSERT_EQ(delivered.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) expect_equal(delivered[i], records[i]);
-  }
-
-  // Transcoding back reproduces the original v3 file byte for byte: the
-  // columnar encoder is deterministic and rewrite re-chunks identically.
-  ASSERT_TRUE(lake.rewrite_day(day, ew::storage::LakeFormat::kV3).has_value());
-  EXPECT_EQ(lake.fsck_day(day).version, 3);
-  EXPECT_EQ(slurp(path), v3_bytes);
-
-  // migrate_to_v2 understands v3 input (transcode, not a verbatim copy).
-  ASSERT_TRUE(lake.migrate_to_v2(day).ok());
-  EXPECT_EQ(lake.fsck_day(day).version, 2);
-  EXPECT_EQ(lake.read_day(day).size(), records.size());
 }
 
 TEST(DataLakeV3, PredicatePushdownMatchesPostFilterAndPrunes) {
@@ -1288,22 +1234,4 @@ TEST(DataLakeV3, ProjectionComposesWithRowFilters) {
   ASSERT_LT(expected.size(), full.size());  // the filter actually selects
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) expect_identical(got[i], expected[i]);
-}
-
-TEST(DataLakeV2, ProjectionIsANoOpOnRowFormatDays) {
-  // Row-format blocks decode whole records; a projected scan of a v2 day
-  // must deliver every field fully materialized — consumers must not rely
-  // on unprojected fields being zeroed when a lake may contain v2 days.
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  lake.set_write_format(ew::storage::LakeFormat::kV2);
-  const CivilDate day{2017, 6, 3};
-  const auto records = varied_batch(43, 400, day);
-  ASSERT_TRUE(lake.append(day, records).has_value());
-
-  const auto pred = ew::storage::ScanPredicate::project(ew::storage::scan_fields::kUpBytes);
-  std::vector<FlowRecord> got;
-  ASSERT_TRUE(lake.scan_day(day, pred, [&](const FlowRecord& r) { got.push_back(r); }).ok());
-  ASSERT_EQ(got.size(), records.size());
-  for (std::size_t i = 0; i < got.size(); ++i) expect_equal(got[i], records[i]);
 }

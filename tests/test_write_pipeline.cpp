@@ -24,6 +24,7 @@
 #include "storage/compress.hpp"
 #include "storage/datalake.hpp"
 #include "storage/fault_injection.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
@@ -32,13 +33,6 @@ using ew::core::ThreadPool;
 using ew::flow::FlowRecord;
 
 namespace {
-
-fs::path fresh_dir(const std::string& name) {
-  const auto dir = fs::temp_directory_path() / ("ew_wpipe_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 std::vector<std::byte> file_bytes(const fs::path& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
@@ -228,8 +222,8 @@ TEST(WritePipeline, ParallelEncodeIsByteIdenticalToSerial) {
   const auto batch1 = make_records(day, 10 * ew::storage::DataLake::kBlockRecords + 777);
   const auto batch2 = make_records(day, 2 * ew::storage::DataLake::kBlockRecords + 33);
 
-  const auto golden_dir = fresh_dir("golden");
-  ew::storage::DataLake golden(golden_dir);
+  const ew::test::TempDir golden_dir{"ew_wpipe_golden"};
+  ew::storage::DataLake golden(golden_dir.path);
   ASSERT_TRUE(golden.append(day, batch1).has_value());
   ASSERT_TRUE(golden.append(day, batch2).has_value());
   const auto want = day_bytes(golden, day);
@@ -241,9 +235,8 @@ TEST(WritePipeline, ParallelEncodeIsByteIdenticalToSerial) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " inflight=" + std::to_string(max_inflight));
       ThreadPool pool(workers);
-      const auto dir = fresh_dir("par_" + std::to_string(workers) + "_" +
-                                 std::to_string(max_inflight));
-      ew::storage::DataLake lake(dir);
+      const ew::test::TempDir dir{"ew_wpipe_par"};
+      ew::storage::DataLake lake(dir.path);
       lake.set_encode_pool(&pool, max_inflight);
       ASSERT_TRUE(lake.append(day, batch1).has_value());
       ASSERT_TRUE(lake.append(day, batch2).has_value());
@@ -267,11 +260,11 @@ TEST(WritePipeline, ParallelEncodeIsByteIdenticalToSerial) {
 
 TEST(WritePipeline, AppendCursorCacheIsTransparent) {
   const CivilDate day{2017, 4, 1};
-  const auto reference_dir = fresh_dir("cur_ref");
-  const auto cached_dir = fresh_dir("cur_hot");
-  ew::storage::DataLake reference(reference_dir);
+  const ew::test::TempDir reference_dir{"ew_wpipe_cur_ref"};
+  const ew::test::TempDir cached_dir{"ew_wpipe_cur_hot"};
+  ew::storage::DataLake reference(reference_dir.path);
   reference.set_append_cursor_cache(false);  // seed behaviour: reparse every append
-  ew::storage::DataLake cached(cached_dir);  // default: cursor cache on
+  ew::storage::DataLake cached(cached_dir.path);  // default: cursor cache on
 
   for (std::size_t batch = 0; batch < 5; ++batch) {
     const auto records =
@@ -292,12 +285,24 @@ TEST(WritePipeline, AppendCursorCacheIsTransparent) {
   EXPECT_EQ(day_bytes(cached, day), day_bytes(reference, day));
   EXPECT_TRUE(cached.fsck_day(day).healthy());
 
-  // External rewrite behind the lake's back: the stat check must catch it.
-  ASSERT_TRUE(cached.rewrite_day(day, ew::storage::LakeFormat::kV3).has_value());
-  ASSERT_TRUE(reference.rewrite_day(day, ew::storage::LakeFormat::kV3).has_value());
+  // External rewrite behind the lake's back, with a plain ofstream the lake
+  // never sees: only the cursor's size+mtime check can notice it.
+  const ew::test::TempDir other_dir{"ew_wpipe_cur_other"};
+  ew::storage::DataLake other(other_dir.path);
+  ASSERT_TRUE(other.append(day, make_records(day, 777)).has_value());
+  const auto replacement = day_bytes(other, day);
+  ASSERT_NE(replacement.size(), cached.file_bytes(day));
+  for (const auto* lake : {&cached, &reference}) {
+    std::ofstream out(lake->root() / ew::storage::DataLake::day_filename(day),
+                      std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(replacement.data()),
+              static_cast<std::streamsize>(replacement.size()));
+  }
   ASSERT_TRUE(cached.append(day, more).has_value());
   ASSERT_TRUE(reference.append(day, more).has_value());
   EXPECT_EQ(day_bytes(cached, day), day_bytes(reference, day));
+  EXPECT_TRUE(cached.fsck_day(day).healthy());
+  EXPECT_EQ(cached.read_day(day).size(), 777 + more.size());
 }
 
 TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
@@ -307,8 +312,8 @@ TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
 
   // Golden: both appends, uninterrupted (serial — identity with the
   // parallel encoder is covered above; here the crash is the subject).
-  const auto golden_dir = fresh_dir("chaos_golden");
-  ew::storage::DataLake golden(golden_dir);
+  const ew::test::TempDir golden_dir{"ew_wpipe_chaos_golden"};
+  ew::storage::DataLake golden(golden_dir.path);
   ASSERT_TRUE(golden.append(day, batch1).has_value());
   const std::uint64_t durable = golden.file_bytes(day);  // the checkpointed length
   ASSERT_TRUE(golden.append(day, batch2).has_value());
@@ -322,8 +327,8 @@ TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
   for (const std::uint64_t at :
        {std::uint64_t{1}, flush_bytes / 10, flush_bytes / 2, flush_bytes - 5}) {
     SCOPED_TRACE("crash at stream byte " + std::to_string(at));
-    const auto dir = fresh_dir("chaos_" + std::to_string(at));
-    ew::storage::DataLake lake(dir);
+    const ew::test::TempDir dir{"ew_wpipe_chaos"};
+    ew::storage::DataLake lake(dir.path);
     lake.set_encode_pool(&pool);
     ASSERT_TRUE(lake.append(day, batch1).has_value());
 
@@ -337,7 +342,7 @@ TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
 
     // Fresh process: fsck sees the tear, resume truncates back to the
     // checkpointed durable length and replays the batch.
-    ew::storage::DataLake resumed(dir);
+    ew::storage::DataLake resumed(dir.path);
     resumed.set_encode_pool(&pool);
     EXPECT_FALSE(resumed.fsck_day(day).healthy());
     ASSERT_TRUE(resumed.truncate_day(day, durable).has_value());
@@ -351,8 +356,8 @@ TEST(WritePipeline, KillMidParallelFlushResumesByteIdentical) {
 
 TEST(WritePipeline, DeltaChainsResolveOnRandomAccessAndFailLoudlyWithout) {
   const CivilDate day{2017, 6, 6};
-  const auto dir = fresh_dir("chains");
-  ew::storage::DataLake lake(dir);
+  const ew::test::TempDir dir{"ew_wpipe_chains"};
+  ew::storage::DataLake lake(dir.path);
   ASSERT_TRUE(
       lake.append(day, make_records(day, 4 * ew::storage::DataLake::kBlockRecords)).has_value());
   const auto idx = lake.load_day_blocks(day);
@@ -413,8 +418,8 @@ TEST(WritePipeline, ZonePrunedPredecessorStillResolvesViaChainWalk) {
   const CivilDate day{2017, 7, 14};
   const auto records =
       make_records(day, 5 * ew::storage::DataLake::kBlockRecords, /*block2_udp_only=*/true);
-  const auto dir = fresh_dir("prune_walk");
-  ew::storage::DataLake lake(dir);
+  const ew::test::TempDir dir{"ew_wpipe_prune_walk"};
+  ew::storage::DataLake lake(dir.path);
   ASSERT_TRUE(lake.append(day, records).has_value());
 
   const auto pred = ew::storage::ScanPredicate::for_proto(ew::core::TransportProto::kTcp);
@@ -433,8 +438,8 @@ TEST(WritePipeline, DamagedPredecessorDictionaryIsSalvagedByDependents) {
   const CivilDate day{2017, 8, 2};
   const std::size_t nblocks = 10;
   const auto records = make_records(day, nblocks * ew::storage::DataLake::kBlockRecords);
-  const auto dir = fresh_dir("salvage");
-  ew::storage::DataLake lake(dir);
+  const ew::test::TempDir dir{"ew_wpipe_salvage"};
+  ew::storage::DataLake lake(dir.path);
   ASSERT_TRUE(lake.append(day, records).has_value());
   const auto idx = lake.load_day_blocks(day);
   ASSERT_EQ(idx.blocks().size(), nblocks);
@@ -444,11 +449,13 @@ TEST(WritePipeline, DamagedPredecessorDictionaryIsSalvagedByDependents) {
   const auto path = lake.root() / ew::storage::DataLake::day_filename(day);
   {
     const auto& b = idx.blocks()[2];
+    const auto mid = static_cast<std::streamoff>(b.offset + ew::storage::kBlockFrameHeaderSize +
+                                                 b.body_len / 2);
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(static_cast<std::streamoff>(b.offset + b.header_size + b.body_len / 2));
+    f.seekg(mid);
     char c = 0;
     f.read(&c, 1);
-    f.seekp(static_cast<std::streamoff>(b.offset + b.header_size + b.body_len / 2));
+    f.seekp(mid);
     c = static_cast<char>(c ^ 0x10);
     f.write(&c, 1);
   }
@@ -481,8 +488,8 @@ TEST(WritePipeline, DestroyedDictionaryCascadesQuarantineToChainTail) {
   const CivilDate day{2017, 8, 3};
   const std::size_t nblocks = 10;
   const auto records = make_records(day, nblocks * ew::storage::DataLake::kBlockRecords);
-  const auto dir = fresh_dir("cascade");
-  ew::storage::DataLake lake(dir);
+  const ew::test::TempDir dir{"ew_wpipe_cascade"};
+  ew::storage::DataLake lake(dir.path);
   ASSERT_TRUE(lake.append(day, records).has_value());
   const auto idx = lake.load_day_blocks(day);
   ASSERT_EQ(idx.blocks().size(), nblocks);
@@ -496,7 +503,8 @@ TEST(WritePipeline, DestroyedDictionaryCascadesQuarantineToChainTail) {
     const auto& b = idx.blocks()[2];
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     for (std::size_t off = 0; off < b.body_len; off += 16) {
-      const auto at = static_cast<std::streamoff>(b.offset + b.header_size + off);
+      const auto at =
+          static_cast<std::streamoff>(b.offset + ew::storage::kBlockFrameHeaderSize + off);
       f.seekg(at);
       char c = 0;
       f.read(&c, 1);
