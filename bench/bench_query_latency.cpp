@@ -11,13 +11,18 @@
 //   - protocol_shares    Fig. 8's monthly web-protocol mix
 //
 // Each rollup query reports its speedup over the raw scan; the acceptance
-// target is >= 10x for the multi-year range. Results land in a JSON
-// fragment that scripts/bench.sh merges into BENCH_pipeline.json.
+// target is >= 10x for the multi-year range, and the bench exits 1 when the
+// slowest rollup query misses it. Results, stamped with the host and build,
+// land in a JSON fragment that scripts/bench.sh merges into
+// BENCH_pipeline.json.
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +45,22 @@ namespace fs = std::filesystem;
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Every rollup query must beat the raw full scan by at least this factor.
+constexpr double kTargetSpeedup = 10.0;
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -84,7 +105,9 @@ int main(int argc, char** argv) {
   // query planner sees) while the build stays CI-sized.
   const auto scenario = ew::synth::build_paper_scenario(/*seed=*/42, /*scale=*/0.05);
   const ew::synth::WorkloadGenerator gen{scenario};
-  const auto dir = fs::temp_directory_path() / "ew_bench_query_latency";
+  // Per-process scratch directory, so concurrent runs never share a lake.
+  const auto dir =
+      fs::temp_directory_path() / ("ew_bench_query_latency_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   ew::storage::DataLake lake{dir / "lake"};
 
@@ -159,15 +182,21 @@ int main(int argc, char** argv) {
                            (void)ew::query::protocol_shares(store, days.front(), days.back(),
                                                             &pool);
                          }));
-  std::printf("  slowest rollup query: %.0fx vs raw scan (target >= 10x)\n", min_speedup);
+  const bool met = min_speedup >= kTargetSpeedup;
+  std::printf("  slowest rollup query: %.0fx vs raw scan (target >= %.0fx): %s\n", min_speedup,
+              kTargetSpeedup, met ? "met" : "MISSED");
 
   std::string json = "{\n";
   json += "  \"bench\": \"query_latency\",\n";
   json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
+  json += "  \"cpu_model\": \"" + cpu_model() + "\",\n";
+  json += "  \"compiler\": \"" EW_BENCH_COMPILER "\",\n";
+  json += "  \"build_type\": \"" EW_BENCH_BUILD_TYPE "\",\n";
   json += "  \"days\": " + std::to_string(days.size()) + ",\n";
   json += "  \"months\": " + std::to_string(months) + ",\n";
   json += "  \"repeats\": " + std::to_string(repeats) + ",\n";
   json += "  \"min_query_speedup\": " + std::to_string(min_speedup) + ",\n";
+  json += "  \"target_speedup\": " + std::to_string(kTargetSpeedup) + ",\n";
   json += "  \"samples\": [\n" + samples + "\n  ]\n}\n";
   bool wrote = false;
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
@@ -177,5 +206,5 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out_path.c_str());
   }
   fs::remove_all(dir);
-  return wrote ? 0 : 1;
+  return wrote && met ? 0 : 1;
 }

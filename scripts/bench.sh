@@ -30,6 +30,7 @@ mkdir -p "$FRAGMENTS"
   "$FRAGMENTS/parallel_scaling.json"
 ./build/bench/bench_probe_hotpath "$CONVERSATIONS" "$REPEATS" \
   "$FRAGMENTS/probe_hotpath.json"
+# Rollup queries vs the raw scan: exits 1 when any query is below 10x.
 ./build/bench/bench_query_latency 25 "$REPEATS" "$FRAGMENTS/query_latency.json"
 # Overload sweep is about shed *ratios*, not throughput — a few hundred
 # conversations give a full Healthy→Shedding curve without minutes of spin.

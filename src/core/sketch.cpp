@@ -48,8 +48,7 @@ double hll_alpha(std::size_t m) noexcept {
 // ------------------------------------------------------------ HyperLogLog
 
 HyperLogLog::HyperLogLog(std::uint8_t precision)
-    : precision_(std::clamp(precision, kMinPrecision, kMaxPrecision)),
-      registers_(std::size_t{1} << precision_, 0) {}
+    : precision_(std::clamp(precision, kMinPrecision, kMaxPrecision)) {}
 
 std::uint64_t HyperLogLog::hash_value(const void* data, std::size_t size) noexcept {
   // Fixed key: estimates must be identical across runs, machines and the
@@ -63,6 +62,7 @@ void HyperLogLog::add_hash(std::uint64_t hash) noexcept {
   const std::uint64_t rest = hash << precision_;
   const auto rank = static_cast<std::uint8_t>(
       rest == 0 ? 64 - precision_ + 1 : std::countl_zero(rest) + 1);
+  if (registers_.empty()) registers_.assign(register_count(), 0);
   registers_[index] = std::max(registers_[index], rank);
 }
 
@@ -71,6 +71,7 @@ bool HyperLogLog::empty() const noexcept {
 }
 
 double HyperLogLog::estimate() const noexcept {
+  if (registers_.empty()) return 0;  // what linear counting gives for m zeros
   const auto m = static_cast<double>(registers_.size());
   double inverse_sum = 0;
   std::size_t zeros = 0;
@@ -87,6 +88,11 @@ double HyperLogLog::estimate() const noexcept {
 
 bool HyperLogLog::merge(const HyperLogLog& other) noexcept {
   if (precision_ != other.precision_) return false;
+  if (other.registers_.empty()) return true;
+  if (registers_.empty()) {
+    registers_ = other.registers_;
+    return true;
+  }
   for (std::size_t i = 0; i < registers_.size(); ++i) {
     registers_[i] = std::max(registers_[i], other.registers_[i]);
   }
@@ -94,7 +100,13 @@ bool HyperLogLog::merge(const HyperLogLog& other) noexcept {
 }
 
 double HyperLogLog::standard_error() const noexcept {
-  return 1.04 / std::sqrt(static_cast<double>(registers_.size()));
+  return 1.04 / std::sqrt(static_cast<double>(register_count()));
+}
+
+bool HyperLogLog::operator==(const HyperLogLog& other) const noexcept {
+  if (precision_ != other.precision_) return false;
+  if (registers_.empty() || other.registers_.empty()) return empty() && other.empty();
+  return registers_ == other.registers_;
 }
 
 void HyperLogLog::serialize(ByteWriter& out) const {
@@ -123,8 +135,9 @@ Result<HyperLogLog> HyperLogLog::deserialize(ByteReader& in) {
   }
   HyperLogLog hll{precision};
   const std::uint64_t pairs = get_uvarint(in);
-  const std::size_t m = hll.registers_.size();
+  const std::size_t m = hll.register_count();
   if (pairs > m) return Errc::kCorrupt;
+  if (pairs > 0) hll.registers_.assign(m, 0);
   const auto max_rank = static_cast<std::uint8_t>(64 - precision + 1);
   std::size_t pos = 0;
   for (std::uint64_t i = 0; i < pairs; ++i) {

@@ -9,7 +9,12 @@
 //    |est - true| <= 3 * 1.04/sqrt(m) * true  once true > m/4 — below that
 //    the linear-counting regime is far more accurate in practice. Merging
 //    is register-wise max: merge(a, b) sketches exactly the set union, so
-//    day sketches roll up into week/month/range answers losslessly.
+//    day sketches roll up into week/month/range answers losslessly. The
+//    m-byte register array is allocated on first need (the first add, a
+//    merge from a non-empty sketch, or a deserialized record with at least
+//    one non-zero register); until then the sketch is the all-zero sketch.
+//    Rollup groups loaded without their sketch sections therefore cost no
+//    register memory, and merging them costs nothing.
 //
 //  - QuantileSketch: a DDSketch-style log-bucketed quantile sketch
 //    (Masson et al., VLDB 2019) for RTT, flow size and per-subscriber
@@ -61,7 +66,10 @@ class HyperLogLog {
   bool merge(const HyperLogLog& other) noexcept;
 
   [[nodiscard]] std::uint8_t precision() const noexcept { return precision_; }
-  [[nodiscard]] std::size_t register_count() const noexcept { return registers_.size(); }
+  /// 2^precision, whether or not the registers are allocated yet.
+  [[nodiscard]] std::size_t register_count() const noexcept {
+    return std::size_t{1} << precision_;
+  }
   [[nodiscard]] bool empty() const noexcept;
 
   /// Relative standard error of estimate(): 1.04 / sqrt(2^precision).
@@ -75,12 +83,16 @@ class HyperLogLog {
   void serialize(ByteWriter& out) const;
   [[nodiscard]] static Result<HyperLogLog> deserialize(ByteReader& in);
 
-  bool operator==(const HyperLogLog& other) const noexcept = default;
+  /// Same precision and same register values; unallocated registers
+  /// compare as all-zero.
+  bool operator==(const HyperLogLog& other) const noexcept;
 
  private:
   static std::uint64_t hash_value(const void* data, std::size_t size) noexcept;
 
   std::uint8_t precision_;
+  /// Empty until first need, and then register_count() bytes; empty means
+  /// every register is zero.
   std::vector<std::uint8_t> registers_;
 };
 

@@ -6,7 +6,11 @@
 // A query is a typed description (QuerySpec); the planner
 //   1. derives the column mask the metric needs (an RTT quantile touches
 //      only the rtt section of each day file; byte totals touch only the
-//      counters section — the mmap'ed sketch sections are never faulted in),
+//      counters section — the mmap'ed sketch sections are never faulted in).
+//      Projection also skips the allocation: a group loaded without its
+//      clients/servers sections keeps unallocated HLL registers
+//      (core::HyperLogLog allocates on first need), so it costs neither
+//      two zeroed 2^p-byte register arrays nor their max-merge across days,
 //   2. enumerates the rollup days inside [from, to] and groups them into
 //      time buckets (day / ISO week / month / whole range),
 //   3. merges each bucket's day rollups — in parallel across buckets when a

@@ -7,6 +7,7 @@
 #include "net/pcap.hpp"
 #include "probe/probe.hpp"
 #include "synth/packets.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 namespace fs = std::filesystem;
@@ -14,15 +15,8 @@ namespace fs = std::filesystem;
 namespace {
 
 struct TempFile {
-  fs::path path;
-  TempFile()
-      : path(fs::temp_directory_path() /
-             ("ewpcap_" + std::to_string(::getpid()) + "_" + std::to_string(counter()++))) {}
+  fs::path path = ew::test::unique_temp_path("ewpcap");
   ~TempFile() { fs::remove(path); }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
 };
 
 ew::net::Trace sample_trace() {

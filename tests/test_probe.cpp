@@ -12,6 +12,7 @@
 #include "dpi/parsers.hpp"
 #include "net/packet.hpp"
 #include "probe/probe.hpp"
+#include "temp_dir.hpp"
 
 namespace ew = edgewatch;
 using ew::core::IPv4Address;
@@ -276,15 +277,8 @@ TEST(Probe, RttMeasuredThroughProbe) {
 namespace {
 
 struct TempCheckpoint {
-  std::filesystem::path path;
-  TempCheckpoint()
-      : path(std::filesystem::temp_directory_path() /
-             ("ewckpt_" + std::to_string(::getpid()) + "_" + std::to_string(counter()++))) {}
+  std::filesystem::path path = ew::test::unique_temp_path("ewckpt");
   ~TempCheckpoint() { std::filesystem::remove(path); }
-  static int& counter() {
-    static int c = 0;
-    return c;
-  }
 };
 
 }  // namespace

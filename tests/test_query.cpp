@@ -3,17 +3,24 @@
 // FileIdentity, column projection, and — the acceptance criterion — golden
 // comparisons proving that top-k / distinct / quantile answers from
 // rollups match exact full-scan recomputation within the sketches'
-// documented error bounds on paper-scenario synthetic data.
+// documented error bounds on paper-scenario synthetic data — plus a
+// differential check that the planner's column projection never changes an
+// answer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analytics/figures.hpp"
@@ -99,6 +106,106 @@ std::size_t exact_distinct_users(std::span<const ew::analytics::DayAggregate> da
   return users.size();
 }
 
+/// Bucket start of `day` under `bucket` for a range starting at `from`,
+/// computed from the calendar directly rather than through the engine.
+CivilDate oracle_bucket(CivilDate day, ew::query::TimeBucket bucket, CivilDate from) {
+  using ew::query::TimeBucket;
+  switch (bucket) {
+    case TimeBucket::kTotal:
+      return from;
+    case TimeBucket::kDay:
+      return day;
+    case TimeBucket::kWeek: {
+      CivilDate monday = day;
+      while (ew::core::weekday_from_days(ew::core::days_from_civil(monday)) != 1) {
+        monday = ew::core::civil_from_days(ew::core::days_from_civil(monday) - 1);
+      }
+      return monday;
+    }
+    case TimeBucket::kMonth:
+      return CivilDate{day.year, day.month, 1};
+  }
+  return day;
+}
+
+/// The unprojected answer to `spec`: every day loaded with kAllColumns
+/// (from `full`, keyed by day) and merged with DayRollup::merge, then rows
+/// extracted per bucket, value-descending, cut to top_k.
+ew::query::QueryResult oracle_query(const std::map<CivilDate, DayRollup>& full,
+                                    const ew::query::QuerySpec& spec) {
+  using ew::query::Metric;
+  const bool per_tech =
+      spec.metric == Metric::kVolumeQuantile || spec.metric == Metric::kActiveSubscribers;
+  std::map<CivilDate, std::vector<CivilDate>> buckets;
+  for (auto z = ew::core::days_from_civil(spec.from); z <= ew::core::days_from_civil(spec.to);
+       ++z) {
+    const CivilDate day = ew::core::civil_from_days(z);
+    buckets[oracle_bucket(day, spec.bucket, spec.from)].push_back(day);
+  }
+  ew::query::QueryResult result;
+  for (const auto& [start, days] : buckets) {
+    std::optional<DayRollup> merged;
+    for (const CivilDate day : days) {
+      const auto it = full.find(day);
+      if (it == full.end()) {
+        result.missing_days.push_back(day);
+        continue;
+      }
+      ++result.days_merged;
+      if (merged) {
+        merged->merge(it->second);
+      } else {
+        merged = it->second;
+      }
+    }
+    if (!merged) continue;
+    std::vector<ew::query::QueryRow> rows;
+    const auto emit = [&](std::uint32_t key, double value, double bound) {
+      if (!spec.group || *spec.group == key) rows.push_back({start, key, value, bound});
+    };
+    if (per_tech) {
+      for (std::uint32_t t = 0; t < merged->subscribers.size(); ++t) {
+        const auto& tech = merged->subscribers[t];
+        const auto& sketch = spec.download ? tech.down_bytes : tech.up_bytes;
+        if (spec.metric == Metric::kActiveSubscribers) {
+          emit(t, static_cast<double>(tech.active), 0);
+        } else if (!sketch.empty()) {
+          emit(t, sketch.quantile(spec.quantile), sketch.relative_accuracy());
+        }
+      }
+    } else {
+      for (const auto& [key, g] : merged->groups) {
+        switch (spec.metric) {
+          case Metric::kBytes:
+            emit(key, static_cast<double>(g.bytes_total()), 0);
+            break;
+          case Metric::kFlows:
+            emit(key, static_cast<double>(g.flows), 0);
+            break;
+          case Metric::kDistinctClients:
+            if (!g.clients.empty()) emit(key, g.clients.estimate(), g.clients.error_bound());
+            break;
+          case Metric::kDistinctServers:
+            if (!g.servers.empty()) emit(key, g.servers.estimate(), g.servers.error_bound());
+            break;
+          case Metric::kRttQuantile:
+            if (!g.rtt_ms.empty()) {
+              emit(key, g.rtt_ms.quantile(spec.quantile), g.rtt_ms.relative_accuracy());
+            }
+            break;
+          default:
+            break;
+        }
+      }
+    }
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const auto& a, const auto& b) { return a.value > b.value; });
+    if (spec.top_k != 0 && rows.size() > spec.top_k) rows.resize(spec.top_k);
+    result.rows.insert(result.rows.end(), rows.begin(), rows.end());
+  }
+  return result;
+}
+
 double exact_nearest_rank(std::vector<double> values, double q) {
   std::sort(values.begin(), values.end());
   const auto k = std::max<std::size_t>(
@@ -148,6 +255,26 @@ TEST(Rollup, ColumnProjectionSkipsSketchSections) {
   for (const auto& [key, group] : rtt_only->groups) {
     EXPECT_EQ(group.rtt_ms.count(), full.groups.at(key).rtt_ms.count());
     EXPECT_EQ(group.flows, 0u);
+  }
+}
+
+TEST(Rollup, StoreFilesSurviveDecodeReencode) {
+  // Every file the store wrote decodes and re-encodes to the same bytes, so
+  // decode loses nothing that encode_rollup writes, empty sketches included.
+  auto& c = corpus();
+  for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
+    const auto dim = static_cast<Dimension>(d);
+    for (const CivilDate day : c.days) {
+      const auto path = c.store->rollup_path(day, dim);
+      std::ifstream in(path, std::ios::binary);
+      ASSERT_TRUE(in.is_open()) << path;
+      const std::string raw{std::istreambuf_iterator<char>(in), {}};
+      const auto* first = reinterpret_cast<const std::byte*>(raw.data());
+      const std::vector<std::byte> bytes(first, first + raw.size());
+      const auto back = ew::query::decode_rollup(bytes);
+      ASSERT_TRUE(back.has_value()) << path;
+      EXPECT_EQ(ew::query::encode_rollup(*back), bytes) << path;
+    }
   }
 }
 
@@ -450,4 +577,80 @@ TEST(QueryEngine, MissingDaysAreReportedNotInvented) {
   const auto nothing = ew::query::run_query(*c.store, empty);
   EXPECT_TRUE(nothing.rows.empty());
   EXPECT_EQ(nothing.missing_days.size(), 5u);
+}
+
+TEST(QueryEngine, ProjectionNeverChangesAnAnswer) {
+  // Differential: every metric x dimension x time bucket, with and without a
+  // group filter and top-k, answered by run_query (which loads only the
+  // metric's column sections) must equal the oracle that loads every day
+  // with kAllColumns and merges whole DayRollups.
+  using ew::query::Metric;
+  using ew::query::TimeBucket;
+  auto& c = corpus();
+  std::array<std::map<CivilDate, DayRollup>, ew::query::kDimensionCount> full;
+  for (std::size_t d = 0; d < full.size(); ++d) {
+    for (const CivilDate day : c.days) {
+      auto rollup = c.store->load(day, static_cast<Dimension>(d), ew::query::kAllColumns);
+      ASSERT_TRUE(rollup.has_value());
+      full[d].emplace(day, std::move(*rollup));
+    }
+  }
+  const Metric metrics[] = {Metric::kBytes,           Metric::kFlows,
+                            Metric::kDistinctClients, Metric::kDistinctServers,
+                            Metric::kRttQuantile,     Metric::kVolumeQuantile,
+                            Metric::kActiveSubscribers};
+  const TimeBucket time_buckets[] = {TimeBucket::kTotal, TimeBucket::kDay, TimeBucket::kWeek,
+                                     TimeBucket::kMonth};
+  std::size_t queries = 0;
+  std::size_t rows = 0;
+  for (const Metric metric : metrics) {
+    const bool per_tech =
+        metric == Metric::kVolumeQuantile || metric == Metric::kActiveSubscribers;
+    for (std::size_t d = 0; d < ew::query::kDimensionCount; ++d) {
+      for (const TimeBucket bucket : time_buckets) {
+        ew::query::QuerySpec spec;
+        spec.metric = metric;
+        spec.dimension = static_cast<Dimension>(d);
+        spec.from = c.days.front();
+        // One day past the corpus, so missing-day reporting is compared too.
+        spec.to = ew::core::civil_from_days(ew::core::days_from_civil(c.days.back()) + 1);
+        spec.bucket = bucket;
+        spec.quantile = 0.75;
+        const auto& days = full[per_tech ? 0 : d];
+        // Group filter: the most prominent key of the unfiltered answer.
+        const auto unfiltered = oracle_query(days, spec);
+        std::vector<std::optional<std::uint32_t>> groups = {std::nullopt};
+        if (!unfiltered.rows.empty()) groups.push_back(unfiltered.rows.front().key);
+        for (const auto& group : groups) {
+          for (const std::size_t top_k : {std::size_t{0}, std::size_t{3}}) {
+            spec.group = group;
+            spec.top_k = top_k;
+            const auto expected = oracle_query(days, spec);
+            const auto got = ew::query::run_query(*c.store, spec);
+            const std::string where = "metric " + std::to_string(static_cast<int>(metric)) +
+                                      " dim " + std::to_string(d) + " bucket " +
+                                      std::to_string(static_cast<int>(bucket)) +
+                                      (group ? " group " + std::to_string(*group) : "") +
+                                      " top_k " + std::to_string(top_k);
+            ASSERT_TRUE(got.ok()) << where;
+            EXPECT_EQ(got.columns_loaded, ew::query::columns_for(metric)) << where;
+            EXPECT_EQ(got.days_merged, expected.days_merged) << where;
+            EXPECT_EQ(got.missing_days, expected.missing_days) << where;
+            ASSERT_EQ(got.rows.size(), expected.rows.size()) << where;
+            for (std::size_t i = 0; i < got.rows.size(); ++i) {
+              EXPECT_EQ(got.rows[i].bucket, expected.rows[i].bucket) << where << " row " << i;
+              EXPECT_EQ(got.rows[i].key, expected.rows[i].key) << where << " row " << i;
+              EXPECT_EQ(got.rows[i].value, expected.rows[i].value) << where << " row " << i;
+              EXPECT_EQ(got.rows[i].error_bound, expected.rows[i].error_bound)
+                  << where << " row " << i;
+            }
+            ++queries;
+            rows += got.rows.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(queries, 7u * 3u * 4u * 2u);
+  EXPECT_GT(rows, 0u);
 }

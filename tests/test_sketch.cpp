@@ -135,6 +135,123 @@ TEST(HyperLogLog, DeserializeRejectsDamage) {
     ByteReader r{bad};
     EXPECT_FALSE(HyperLogLog::deserialize(r).has_value());
   }
+  {  // bad precision byte on an empty sketch: checked before the pair count
+    auto bad = serialize(HyperLogLog{});
+    bad[0] = std::byte{99};
+    ByteReader r{bad};
+    EXPECT_FALSE(HyperLogLog::deserialize(r).has_value());
+  }
+  {  // more pairs than registers
+    ByteWriter w;
+    w.u8(4);
+    w.u8(17);  // 16 registers at precision 4
+    ByteReader r{w.view()};
+    EXPECT_FALSE(HyperLogLog::deserialize(r).has_value());
+  }
+  {  // a pair naming a zero register value
+    ByteWriter w;
+    w.u8(4);
+    w.u8(1);  // one pair
+    w.u8(0);  // zero_run
+    w.u8(0);  // value 0 is never written
+    ByteReader r{w.view()};
+    EXPECT_FALSE(HyperLogLog::deserialize(r).has_value());
+  }
+  {  // zero runs that walk past the last register
+    ByteWriter w;
+    w.u8(4);
+    w.u8(1);
+    w.u8(16);
+    w.u8(1);
+    ByteReader r{w.view()};
+    EXPECT_FALSE(HyperLogLog::deserialize(r).has_value());
+  }
+}
+
+// ---------------------------------------- HyperLogLog: lazy registers
+//
+// A sketch allocates its registers on first need; before that it is the
+// all-zero sketch and must behave exactly like one.
+
+TEST(HyperLogLog, FreshSketchIsTheAllZeroSketch) {
+  const HyperLogLog fresh;
+  EXPECT_TRUE(fresh.empty());
+  EXPECT_DOUBLE_EQ(fresh.estimate(), 0.0);
+  EXPECT_EQ(fresh.register_count(), 4096u);
+  EXPECT_DOUBLE_EQ(fresh.standard_error(), 1.04 / 64.0);
+  // Wire bytes are unchanged: precision, then a zero pair count.
+  EXPECT_EQ(serialize(fresh), (std::vector<std::byte>{std::byte{12}, std::byte{0}}));
+  EXPECT_EQ(serialize(HyperLogLog{4}), (std::vector<std::byte>{std::byte{4}, std::byte{0}}));
+}
+
+TEST(HyperLogLog, MergeWithEmptySketch) {
+  HyperLogLog full;
+  for (std::uint64_t i = 0; i < 2'000; ++i) full.add(i);
+  const HyperLogLog before = full;
+  const auto before_bytes = serialize(full);
+
+  // Empty into non-empty: unchanged.
+  ASSERT_TRUE(full.merge(HyperLogLog{}));
+  EXPECT_EQ(full, before);
+  EXPECT_EQ(serialize(full), before_bytes);
+
+  // Non-empty into empty: the source, bit for bit.
+  HyperLogLog target;
+  ASSERT_TRUE(target.merge(full));
+  EXPECT_EQ(target, full);
+  EXPECT_EQ(serialize(target), before_bytes);
+  EXPECT_DOUBLE_EQ(target.estimate(), full.estimate());
+  EXPECT_FALSE(target.empty());
+
+  // The copy owns its registers: adding to it leaves the source alone.
+  for (std::uint64_t i = 2'000; i < 4'000; ++i) target.add(i);
+  EXPECT_EQ(full, before);
+
+  // Empty into empty stays empty.
+  HyperLogLog nothing;
+  ASSERT_TRUE(nothing.merge(HyperLogLog{}));
+  EXPECT_TRUE(nothing.empty());
+  EXPECT_EQ(nothing, HyperLogLog{});
+}
+
+TEST(HyperLogLog, MergeRejectsPrecisionMismatchWhenEitherSideIsEmpty) {
+  HyperLogLog filled12{12}, filled10{10};
+  filled12.add(1);
+  filled10.add(1);
+  {  // empty target
+    HyperLogLog a{12};
+    EXPECT_FALSE(a.merge(filled10));
+    EXPECT_TRUE(a.empty());
+  }
+  {  // empty source
+    HyperLogLog a = filled12;
+    EXPECT_FALSE(a.merge(HyperLogLog{10}));
+    EXPECT_EQ(a, filled12);
+  }
+  {  // both empty
+    HyperLogLog a{12};
+    EXPECT_FALSE(a.merge(HyperLogLog{10}));
+    EXPECT_EQ(a.precision(), 12);
+  }
+  // Equality also needs equal precision, even between two empty sketches.
+  EXPECT_FALSE(HyperLogLog{12} == HyperLogLog{10});
+}
+
+TEST(HyperLogLog, EmptyRoundtripComparesEqual) {
+  for (const std::uint8_t p : {HyperLogLog::kMinPrecision, HyperLogLog::kDefaultPrecision,
+                               HyperLogLog::kMaxPrecision}) {
+    const HyperLogLog empty{p};
+    const auto bytes = serialize(empty);
+    ByteReader r{bytes};
+    const auto back = HyperLogLog::deserialize(r);
+    ASSERT_TRUE(back.has_value()) << int{p};
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(*back, empty);
+    EXPECT_TRUE(back->empty());
+    EXPECT_EQ(back->precision(), p);
+    EXPECT_EQ(back->register_count(), std::size_t{1} << p);
+    EXPECT_EQ(serialize(*back), bytes);
+  }
 }
 
 // --------------------------------------------------------- QuantileSketch
