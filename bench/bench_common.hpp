@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -73,5 +74,20 @@ inline void compare(const char* metric, const char* paper, double measured,
 }
 
 inline void note(const std::string& text) { std::printf("  %s\n", text.c_str()); }
+
+/// The host's CPU model (first "model name" of /proc/cpuinfo), for the host
+/// stamp of a bench's JSON entry; "unknown" where that file is absent.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
 
 }  // namespace bench_common

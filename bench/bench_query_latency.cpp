@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "analytics/day_aggregate.hpp"
 #include "analytics/figures.hpp"
 #include "analytics/parallel.hpp"
@@ -48,19 +49,6 @@ using Clock = std::chrono::steady_clock;
 
 /// Every rollup query must beat the raw full scan by at least this factor.
 constexpr double kTargetSpeedup = 10.0;
-
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) break;
-    const auto start = line.find_first_not_of(' ', colon + 1);
-    return start == std::string::npos ? "unknown" : line.substr(start);
-  }
-  return "unknown";
-}
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -189,7 +177,7 @@ int main(int argc, char** argv) {
   std::string json = "{\n";
   json += "  \"bench\": \"query_latency\",\n";
   json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
-  json += "  \"cpu_model\": \"" + cpu_model() + "\",\n";
+  json += "  \"cpu_model\": \"" + bench_common::cpu_model() + "\",\n";
   json += "  \"compiler\": \"" EW_BENCH_COMPILER "\",\n";
   json += "  \"build_type\": \"" EW_BENCH_BUILD_TYPE "\",\n";
   json += "  \"days\": " + std::to_string(days.size()) + ",\n";

@@ -50,11 +50,11 @@ if [ "$(nproc)" -ge 4 ]; then
 fi
 ./build/bench/bench_batch_scan 8 "$REPEATS" "$FRAGMENTS/batch_scan.json" \
   ${BATCH_ARGS[@]+"${BATCH_ARGS[@]}"}
-# Write path: the parallel/serial byte-identity and day-file-size gates are
-# unconditional; the ≥2x ingest→sealed-file throughput gate (vs the
-# pre-overhaul serial writer) needs enough cores for the encode pipeline to
-# express itself, so it only arms on ≥4-core machines (override the bar
-# with WRITE_SPEEDUP_GATE).
+# Write path: the parallel/serial byte-identity gate is unconditional; the
+# ≥2x ingest→sealed-file throughput gate (pooled vs serial append of the
+# same writer) needs enough cores for the encode pipeline to express
+# itself, so it only arms on ≥4-core machines (override the bar with
+# WRITE_SPEEDUP_GATE).
 WRITE_ARGS=()
 if [ "$(nproc)" -ge 4 ]; then
   WRITE_ARGS+=(--min-speedup "${WRITE_SPEEDUP_GATE:-2.0}")

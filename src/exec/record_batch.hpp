@@ -107,8 +107,8 @@ struct RecordBatch {
   std::span<const std::int64_t> rtt_min_us, rtt_max_us;
   std::span<const double> rtt_avg_us;
   /// Dictionary-coded string columns: per-row dict indexes plus the block's
-  /// dictionary as views. The views alias the producing scratch's blob /
-  /// chain-cache buffers — same lifetime as the batch itself.
+  /// dictionary as views. The views alias the producing scratch's blob
+  /// buffers — same lifetime as the batch itself.
   std::span<const std::uint32_t> name_idx, ct_idx;
   std::span<const std::string_view> name_dict, ct_dict;
 

@@ -22,34 +22,22 @@
 // CRC frame, so every byte below is checksummed):
 //
 //   u8  tag = 0xC3            any other first byte is a corrupt body
-//   u8  layout = 1 | 2
+//   u8  layout = 2            (kColumnarLayout; any other value is corrupt)
 //   zone map (36 bytes):      i64 ts_min_us | i64 ts_max_us
 //                             | u32 service_bitmap | u32 proto_bitmap
 //                             | u32 server_ip_min | u32 server_ip_max
 //                             | u32 record_count
 //   u8  dict_size, then dict_size × u8 global ServiceId  (service dictionary)
-//   [layout 2 only] u8 dict_link — bit0: name dict delta-coded against the
-//                             previous block, bit1: content-type dict ditto,
-//                             higher bits must be zero
 //   u8  segment_count, then per segment: u8 column_id | varint payload_len
 //   segment payloads, each a compress.hpp envelope of the column stream
 //
-// Layout 2 (codec v2, the write default) differs from layout 1 only in how
-// segment payloads are packed, never in which columns exist:
-//
-//  * Numeric columns use the adaptive value-segment codec
-//    (compress_u64_segment): per segment the smallest of {stored varint,
-//    LZ varint, frame-of-reference bitpack, run-length} wins. A layout-1
-//    numeric segment is exactly the "stored/LZ varint" arm, so one decoder
-//    serves both layouts.
-//  * u8 columns add a run-length stream variant next to constant/plain.
-//  * The server-name and content-type dictionaries may be delta-coded
-//    against the previous block of the same day file (dict_link bits):
-//    repeated entries cost one varint back-reference instead of the string
-//    bytes. Delta chains restart at least every kDictChainInterval blocks
-//    and never cross an append boundary; each link carries the CRC of the
-//    predecessor's canonical full dictionary, so resolving against the
-//    wrong block fails loudly instead of mis-resolving.
+// Numeric columns use the adaptive value-segment codec
+// (compress_u64_segment): per segment the smallest of {stored varint, LZ
+// varint, frame-of-reference bitpack, run-length} wins. u8 columns are
+// constant, run-length or plain. The server-name and content-type
+// dictionaries are written in full in every block, so each block decodes
+// from its own bytes alone: a damaged block costs only its own records, and
+// any block can be decoded first, last or alone.
 #pragma once
 
 #include <array>
@@ -74,15 +62,10 @@
 namespace edgewatch::storage {
 
 inline constexpr std::uint8_t kColumnarTag = 0xC3;
-inline constexpr std::uint8_t kColumnarLayoutV1 = 1;
-inline constexpr std::uint8_t kColumnarLayoutV2 = 2;
+/// The one body layout the decoder accepts.
+inline constexpr std::uint8_t kColumnarLayout = 2;
 /// Sanity ceiling on the per-block record count a zone map may declare.
 inline constexpr std::uint32_t kMaxColumnarRecords = 1u << 20;
-/// A layout-2 dictionary delta chain restarts (full dictionaries are
-/// re-emitted) at least every this many blocks within one append, and
-/// always at the first block of an append. Bounds how far a random-access
-/// decode may have to walk back to resolve a chain.
-inline constexpr std::size_t kDictChainInterval = 8;
 
 /// Compact bit index for the transport-protocol bitmaps: TransportProto
 /// values are IANA numbers (6/17/255), too sparse for a direct bitmap.
@@ -208,24 +191,6 @@ struct ColumnScratch {
   /// reused across rows and blocks, so a full-day scan performs no
   /// per-record allocation once the dictionaries warmed the buffers.
   flow::FlowRecord rec;
-  // Layout-2 dictionary chain cache: the owned, fully-resolved name and
-  // content-type dictionaries of the block this scratch decoded last, keyed
-  // by the CRC of their canonical full serialization. A sequential scan
-  // resolves each delta link against this cache (one CRC compare); on a
-  // miss — random-access entry mid-chain, or a damaged predecessor — the
-  // decoder walks back through the caller's PrevBlockResolver instead.
-  // Double-buffered: block b+1's dictionary is built into the idle buffer
-  // while back-referencing block b's, then the buffers flip; string capacity
-  // is reused across blocks (resize + assign), so the steady-state scan of a
-  // delta chain allocates nothing. name_dict/ct_dict above view into the
-  // active buffer for layout-2 blocks.
-  std::array<std::vector<std::string>, 2> chain_name_bufs, chain_ct_bufs;
-  unsigned chain_name_cur = 0, chain_ct_cur = 0;
-  std::uint32_t chain_name_crc = 0, chain_ct_crc = 0;
-  bool chain_name_valid = false, chain_ct_valid = false;
-  /// Decompression scratch for predecessor bodies during a chain walk
-  /// (s.seg holds the current block's segment at that point).
-  std::vector<std::byte> chain_seg;
 };
 
 /// Encode-side scratch mirroring ScanScratch: column staging arrays, the
@@ -238,12 +203,11 @@ struct EncodeScratch {
   std::vector<std::uint64_t> u64;          ///< numeric column / dict-index staging
   std::vector<std::uint8_t> u8;            ///< u8 column staging
   std::vector<std::uint8_t> service_code;  ///< pass-1 per-row dict codes
-  core::ByteWriter stream;                 ///< byte-stream staging (fixed cols, dicts)
+  core::ByteWriter stream;                 ///< byte-stream staging (u8 cols, dicts)
   /// String-dictionary staging: first-appearance entries (views into the
-  /// records being encoded) and the interning / predecessor-lookup maps.
+  /// records being encoded) and the interning map.
   std::vector<std::string_view> dict_entries;
   core::FlatHashMap<std::string_view, std::uint32_t, core::StringHash> dict_codes;
-  core::FlatHashMap<std::string_view, std::uint32_t, core::StringHash> prev_codes;
   std::vector<std::byte> payloads;
   std::vector<std::pair<std::uint8_t, std::uint32_t>> directory;  // id → len
   /// Per-codec envelope byte tallies for this scratch, indexed by
@@ -252,22 +216,6 @@ struct EncodeScratch {
   std::array<std::uint64_t, 4> codec_bytes_in{};
   std::array<std::uint64_t, 4> codec_bytes_out{};
 };
-
-/// Encoder-side dictionary chain state: the name/content-type dictionaries
-/// a block's predecessor would decode to, plus the CRCs of their canonical
-/// full serializations. Derived deterministically from the predecessor's
-/// records via build_dict_chain_state — both the serial and the parallel
-/// writer recompute it the same way, which is what keeps their outputs
-/// byte-identical without threading state through the pipeline.
-struct DictChainState {
-  std::vector<std::string> name_dict, ct_dict;
-  std::uint32_t name_crc = 0, ct_crc = 0;
-};
-
-/// Compute the chain state a block whose predecessor holds `prev_records`
-/// encodes against (first-appearance dictionary order, same as the block
-/// encoder itself). `out` is cleared and refilled, reusing capacity.
-void build_dict_chain_state(std::span<const flow::FlowRecord> prev_records, DictChainState& out);
 
 /// Outcome of decoding one columnar body.
 enum class BlockDecodeStatus : std::uint8_t {
@@ -288,7 +236,7 @@ enum class BlockDecodeStatus : std::uint8_t {
 /// filter/zone columns included). Mirrors decode_columnar_block's gates;
 /// observability uses it to count segments *skipped* by a projection.
 [[nodiscard]] unsigned segments_for_fields(std::uint32_t fields) noexcept;
-/// Segments per columnar block (layout v1); segments_for_fields(kAll).
+/// Segments per columnar block; segments_for_fields(kAll).
 inline constexpr unsigned kColumnSegmentCount = 32;
 
 /// Read just the fixed-width zone map — no decompression, no column decode.
@@ -297,49 +245,26 @@ inline constexpr unsigned kColumnSegmentCount = 32;
 
 /// Transpose `records` into a columnar body appended to `out`. `catalog`
 /// materializes the per-record service ids (dictionary-coded) and the zone
-/// map's service bitmap. This convenience overload emits a layout-2 chain
-/// head (fresh dictionaries) with its own scratch.
+/// map's service bitmap. This convenience overload uses its own scratch.
 void encode_columnar_block(std::span<const flow::FlowRecord> records,
                            const services::ServiceCatalog& catalog, core::ByteWriter& out);
 
-/// Full layout-2 encoder. `prev` is the dictionary chain state of the
-/// block's predecessor within the same append, or nullptr for a chain head
-/// (first block of an append, and every kDictChainInterval-th after it).
-/// Even with `prev` set, a dictionary is only delta-coded when the delta is
-/// actually smaller — the dict_link bits record the per-block choice.
+/// As above, staging through a caller-owned scratch reused across blocks.
 void encode_columnar_block(std::span<const flow::FlowRecord> records,
                            const services::ServiceCatalog& catalog, core::ByteWriter& out,
-                           EncodeScratch& scratch, const DictChainState* prev);
+                           EncodeScratch& scratch);
 
-/// Layout-1 encoder, byte-identical to the pre-codec-v2 writer. Kept so
-/// read-compat tests can fabricate historical blocks; production writes go
-/// through the layout-2 overloads above.
-void encode_columnar_block_layout1(std::span<const flow::FlowRecord> records,
-                                   const services::ServiceCatalog& catalog,
-                                   core::ByteWriter& out);
-
-/// Resolves the body of the block `back` positions (1 = immediate
-/// predecessor) before the one being decoded, in the parse order of the
-/// same day file. Returns an empty span when unavailable. Only consulted to
-/// resolve layout-2 dictionary delta chains on random access — sequential
-/// scans hit the ColumnScratch chain cache instead.
-using PrevBlockResolver = core::FunctionRef<std::span<const std::byte>(std::size_t back)>;
-
-/// Decode a columnar body (either layout), delivering records (in row
-/// order) to `fn`. With a predicate, only matching records are delivered —
-/// the filter columns (timestamp, service, proto) decode first and, when
-/// nothing matches, the remaining segments are never touched.
+/// Decode a columnar body, delivering records (in row order) to `fn`. With
+/// a predicate, only matching records are delivered — the filter columns
+/// (timestamp, service, proto) decode first and, when nothing matches, the
+/// remaining segments are never touched.
 /// `expected_records` cross-checks the frame header's count (pass
 /// kAnyRecordCount to skip). records_delivered counts what `fn` saw.
-/// `prev_blocks`, when non-null, resolves dictionary delta chains that the
-/// scratch's cache cannot; a delta block that resolves through neither is
-/// kCorrupt — never silently mis-resolved.
 inline constexpr std::uint32_t kAnyRecordCount = 0xffffffffu;
 [[nodiscard]] BlockDecodeStatus decode_columnar_block(
     std::span<const std::byte> body, ColumnScratch& scratch, const ScanPredicate* predicate,
     std::uint64_t& records_delivered, core::FunctionRef<void(const flow::FlowRecord&)> fn,
-    std::uint32_t expected_records = kAnyRecordCount,
-    const PrevBlockResolver* prev_blocks = nullptr);
+    std::uint32_t expected_records = kAnyRecordCount);
 
 /// Native batch decode — the primary columnar read path since the batch
 /// refactor (decode_columnar_block is this plus the exec::materialize_rows
@@ -352,7 +277,6 @@ inline constexpr std::uint32_t kAnyRecordCount = 0xffffffffu;
 /// The batch views `scratch` and stays valid until its next decode.
 [[nodiscard]] BlockDecodeStatus decode_columnar_batch(
     std::span<const std::byte> body, ColumnScratch& scratch, const ScanPredicate* predicate,
-    exec::RecordBatch& batch, std::uint32_t expected_records = kAnyRecordCount,
-    const PrevBlockResolver* prev_blocks = nullptr);
+    exec::RecordBatch& batch, std::uint32_t expected_records = kAnyRecordCount);
 
 }  // namespace edgewatch::storage

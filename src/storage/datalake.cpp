@@ -138,19 +138,6 @@ struct FileModel {
   std::vector<BlockRef> blocks;       ///< Valid blocks, stream order.
   std::optional<SealRef> last_seal;
   std::vector<BadRange> bad;
-  /// Dictionary-salvage candidates carved out of `bad`: frames whose header
-  /// fields still frame a body inside the damaged range even though the CRC
-  /// failed. Never delivered — only offered to dictionary chain walks, which
-  /// verify every candidate against the link's dictionary CRC. This keeps a
-  /// body bit-flip's blast radius at one block: delta-coded successors
-  /// recover the damaged predecessor's (intact) dictionary bytes instead of
-  /// cascading into quarantine with it.
-  std::vector<BlockRef> salvage;
-  /// Filled by deep_verify_columnar: indices into the (post-verify) blocks
-  /// vector whose dictionary chain leaned on an element that will not
-  /// survive repair. Repair must transcode these into chain heads — a
-  /// verbatim copy would orphan their delta links.
-  std::vector<std::size_t> transcode;
   std::size_t valid_end = 0;   ///< Offset past the last valid element.
   bool ends_sealed = false;    ///< Last element is a seal at exactly EOF.
   std::size_t file_size = 0;
@@ -211,19 +198,6 @@ void parse_elements(std::span<const std::byte> data, FileModel& m) {
     ++pos;
     while (pos < size && !try_block(pos, true) && !try_seal(pos)) ++pos;
     m.bad.push_back({bad_begin, pos});
-    // Carve dictionary-salvage candidates from the damaged range: a body
-    // bit-flip leaves the frame header intact, so its length fields still
-    // delimit the (mostly intact) body. Walk the claimed frame sizes as far
-    // as they stay inside the range; a damaged header stops the carving —
-    // candidates are best-effort and individually CRC-verified at use.
-    std::size_t c = bad_begin;
-    while (c + kBlockHeaderSize <= pos) {
-      const std::uint32_t body_len = rd32(data, c);
-      if (body_len == kSealSentinel || body_len > kMaxBlockBody) break;
-      if (c + kBlockHeaderSize + body_len > pos) break;
-      m.salvage.push_back({c, body_len, rd32(data, c + 4), rd32(data, c + 8)});
-      c += kBlockHeaderSize + body_len;
-    }
   }
   m.ends_sealed = last_was_seal && m.valid_end == size;
 }
@@ -249,22 +223,6 @@ FileModel parse_file(std::span<const std::byte> data) {
   return m;
 }
 
-/// File-order merge of CRC-valid blocks and salvage candidates — the
-/// resolution adjacency a dictionary chain walk must see (`back` in a delta
-/// link counts *original stream* positions; both inputs are offset-sorted).
-std::vector<BlockRef> chain_order(const std::vector<BlockRef>& valid,
-                                  const std::vector<BlockRef>& salvage) {
-  std::vector<BlockRef> out;
-  out.reserve(valid.size() + salvage.size());
-  std::size_t vi = 0, si = 0;
-  while (vi < valid.size() || si < salvage.size()) {
-    const bool take_valid =
-        si >= salvage.size() || (vi < valid.size() && valid[vi].offset < salvage[si].offset);
-    out.push_back(take_valid ? valid[vi++] : salvage[si++]);
-  }
-  return out;
-}
-
 /// fsck/repair pre-scan: CRC-valid frames can still hold structurally
 /// damaged bodies (a bit-flip that was re-CRC'd, a writer bug, a
 /// deliberately patched zone map, a body that is not columnar at all).
@@ -272,72 +230,23 @@ std::vector<BlockRef> chain_order(const std::vector<BlockRef>& valid,
 /// cross-check — and demote failures to damaged ranges so repair
 /// quarantines them.
 void deep_verify_columnar(std::span<const std::byte> data, FileModel& m) {
-  // Resolution adjacency: every framed element in original stream order —
-  // CRC-valid blocks plus salvage candidates carved from damaged ranges.
-  // `survives` tracks which elements repair will copy verbatim; candidates
-  // never survive, valid blocks are demoted as they fail below. Elements
-  // are verified in stream order, so by the time a block resolves its chain
-  // every predecessor's fate is already final.
-  struct Element {
-    BlockRef b;
-    bool survives;
-  };
-  std::vector<Element> els;
-  els.reserve(m.blocks.size() + m.salvage.size());
-  {
-    std::size_t vi = 0, si = 0;
-    while (vi < m.blocks.size() || si < m.salvage.size()) {
-      const bool take_valid = si >= m.salvage.size() ||
-                              (vi < m.blocks.size() &&
-                               m.blocks[vi].offset < m.salvage[si].offset);
-      els.push_back(take_valid ? Element{m.blocks[vi++], true}
-                               : Element{m.salvage[si++], false});
-    }
-  }
   ColumnScratch scratch;
+  exec::RecordBatch probe;
   std::vector<BlockRef> good;
   good.reserve(m.blocks.size());
-  std::vector<std::size_t> transcode;
-  exec::RecordBatch probe;
-  for (std::size_t e = 0; e < els.size(); ++e) {
-    if (!els[e].survives) continue;  // salvage candidate: resolver fodder only
-    const BlockRef& b = els[e].b;
-    const auto body = data.subspan(b.offset + kBlockHeaderSize, b.body_len);
-    // Resolve dictionary delta chains over the original adjacency,
-    // including elements that will not survive repair: the walk CRC-gates
-    // every candidate, so a damaged predecessor with intact dictionary
-    // bytes still resolves (single-block blast radius) while real
-    // dictionary damage fails the hash and quarantines the dependents. A
-    // block whose chain leaned on a non-survivor decodes today but would be
-    // orphaned by repair's compaction — record it for transcoding.
-    bool leaned_on_casualty = false;
-    const auto resolve = [&](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > e) return {};
-      const Element& p = els[e - back];
-      if (!p.survives) leaned_on_casualty = true;
-      return data.subspan(p.b.offset + kBlockHeaderSize, p.b.body_len);
-    };
-    const PrevBlockResolver resolver{resolve};
+  for (const BlockRef& b : m.blocks) {
     // Full-projection *batch* decode: deep verification needs every column
     // structurally checked, but no FlowRecord ever read — the batch path
     // proves integrity without materializing a single row.
-    const auto status =
-        decode_columnar_batch(body, scratch, nullptr, probe, b.record_count, &resolver);
-    if (status == BlockDecodeStatus::kOk) {
-      if (leaned_on_casualty) transcode.push_back(good.size());
+    const auto body = data.subspan(b.offset + kBlockHeaderSize, b.body_len);
+    if (decode_columnar_batch(body, scratch, nullptr, probe, b.record_count) ==
+        BlockDecodeStatus::kOk) {
       good.push_back(b);
     } else {
-      els[e].survives = false;
       m.bad.push_back({b.offset, b.offset + kBlockHeaderSize + b.body_len});
-      // The chain cache now describes a quarantined predecessor: drop it so
-      // the next delta block proves its chain through the resolver (and the
-      // CRC gate) instead of silently chaining across the quarantine.
-      scratch.chain_name_valid = false;
-      scratch.chain_ct_valid = false;
     }
   }
   m.blocks = std::move(good);
-  m.transcode = std::move(transcode);
 }
 
 std::optional<std::vector<std::byte>> read_file(const std::filesystem::path& path) {
@@ -478,10 +387,8 @@ void DataLake::encode_day_elements(core::ByteWriter& out,
   // With an encode pool, blocks are encoded out-of-line in a bounded ring
   // and their frames committed strictly in order. Byte identity with the
   // serial writer holds by construction: each block's encode is a pure
-  // function of its records and its predecessor's records (the dictionary
-  // chain state is *recomputed* per block, never threaded through the
-  // pipeline), and both the frame stream and the sequence numbers are
-  // produced by this thread in chunk order.
+  // function of its own records, and both the frame stream and the
+  // sequence numbers are produced by this thread in chunk order.
   const bool pooled = encode_pool_ != nullptr && nblocks > 1;
   std::size_t window = 1;
   if (pooled) {
@@ -493,12 +400,7 @@ void DataLake::encode_day_elements(core::ByteWriter& out,
   const auto encode_into = [&](EncodeSlot& slot, std::size_t i) {
     obs::Span span(*m.encode_block_span);
     slot.body.clear();
-    const DictChainState* prev = nullptr;
-    if (i % kDictChainInterval != 0) {
-      build_dict_chain_state(chunk_of(i - 1), slot.chain);
-      prev = &slot.chain;
-    }
-    encode_columnar_block(chunk_of(i), catalog, slot.body, slot.scratch, prev);
+    encode_columnar_block(chunk_of(i), catalog, slot.body, slot.scratch);
   };
   std::size_t committed = 0;
   const auto commit_through = [&](std::size_t upto) {
@@ -705,26 +607,6 @@ DayBlockIndex DataLake::load_day_blocks(core::CivilDate day) const {
   for (const auto& b : m.blocks) {
     idx.blocks_.push_back({b.offset, b.body_len, b.record_count});
   }
-  // Stream-order resolution adjacency: valid blocks interleaved with
-  // dictionary-salvage candidates (see DayBlockIndex::chain()).
-  idx.chain_.reserve(m.blocks.size() + m.salvage.size());
-  idx.chain_pos_.reserve(m.blocks.size());
-  {
-    std::size_t vi = 0, si = 0;
-    while (vi < m.blocks.size() || si < m.salvage.size()) {
-      const bool take_valid = si >= m.salvage.size() ||
-                              (vi < m.blocks.size() &&
-                               m.blocks[vi].offset < m.salvage[si].offset);
-      const BlockRef& b = take_valid ? m.blocks[vi] : m.salvage[si];
-      if (take_valid) {
-        idx.chain_pos_.push_back(static_cast<std::uint32_t>(idx.chain_.size()));
-        ++vi;
-      } else {
-        ++si;
-      }
-      idx.chain_.push_back({b.offset, b.body_len, b.record_count});
-    }
-  }
   idx.damaged_ranges_ = static_cast<std::uint32_t>(m.bad.size());
   idx.baseline_ = m.bad.empty() ? core::Errc::kOk : core::Errc::kCorrupt;
   idx.data_ = std::make_shared<const std::vector<std::byte>>(std::move(*data));
@@ -787,14 +669,12 @@ bool note_decode(BlockDecodeStatus status, const ScanPredicate* predicate, LakeO
 
 void DataLake::scan_block(std::span<const std::byte> body, std::uint32_t record_count,
                           const ScanPredicate* predicate, ScanScratch& scratch, ScanResult& res,
-                          core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                          const PrevBlockResolver* prev_blocks) {
+                          core::FunctionRef<void(const flow::FlowRecord&)> fn) {
   auto& m = lake_obs();
   if (!admit_block(body, record_count, predicate, m, res)) return;
   const std::uint64_t before = res.records_delivered;
   const auto status = decode_columnar_block(body, scratch.columns, predicate,
-                                            res.records_delivered, fn, record_count,
-                                            prev_blocks);
+                                            res.records_delivered, fn, record_count);
   // One add per block, never per record.
   if (res.records_delivered > before) m.scan_records->add(res.records_delivered - before);
   note_decode(status, predicate, m, res);
@@ -802,13 +682,12 @@ void DataLake::scan_block(std::span<const std::byte> body, std::uint32_t record_
 
 void DataLake::scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
                                   const ScanPredicate* predicate, ScanScratch& scratch,
-                                  ScanResult& res, BatchSink fn,
-                                  const PrevBlockResolver* prev_blocks) {
+                                  ScanResult& res, BatchSink fn) {
   auto& m = lake_obs();
   if (!admit_block(body, record_count, predicate, m, res)) return;
   exec::RecordBatch batch;
-  const auto status = decode_columnar_batch(body, scratch.columns, predicate, batch,
-                                            record_count, prev_blocks);
+  const auto status =
+      decode_columnar_batch(body, scratch.columns, predicate, batch, record_count);
   if (!note_decode(status, predicate, m, res) || batch.empty()) return;
   const auto delivered = static_cast<std::uint64_t>(batch.delivered_rows());
   res.records_delivered += delivered;
@@ -820,9 +699,8 @@ void DataLake::scan_block_batches(std::span<const std::byte> body, std::uint32_t
 namespace {
 
 /// The shared day-walk skeleton of the row and batch scans: index the day,
-/// visit every CRC-valid block with a stream-order chain resolver, fold the
-/// damaged-range and baseline status. `visit(block, resolver)` does the
-/// per-block work.
+/// visit every CRC-valid block, fold the damaged-range and baseline status.
+/// `visit(block, body, res)` does the per-block work.
 template <typename Visit>
 ScanResult scan_day_walk(const DataLake& lake, core::CivilDate day, Visit&& visit) {
   ScanResult res;
@@ -831,22 +709,7 @@ ScanResult scan_day_walk(const DataLake& lake, core::CivilDate day, Visit&& visi
     res.errc = idx.fatal();
     return res;
   }
-  const auto& blocks = idx.blocks();
-  const auto& chain = idx.chain();
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    // Chain resolver over the file's stream-order adjacency — including
-    // dictionary-salvage candidates, so a damaged predecessor with intact
-    // dictionary bytes costs only its own records. A sequential scan rarely
-    // uses it (the scratch's chain cache tracks the predecessor); it
-    // matters when a pruned or damaged block breaks the sequence.
-    const std::size_t ci = idx.chain_pos(i);
-    const auto resolve = [&, ci](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > ci) return {};
-      return idx.body(chain[ci - back]);
-    };
-    const PrevBlockResolver resolver{resolve};
-    visit(blocks[i], idx.body(blocks[i]), res, &resolver);
-  }
+  for (const auto& b : idx.blocks()) visit(b, idx.body(b), res);
   res.blocks_skipped += idx.damaged_ranges();
   if (res.errc == core::Errc::kOk || idx.baseline() == core::Errc::kCorrupt) {
     res.errc = idx.baseline();
@@ -860,8 +723,8 @@ ScanResult DataLake::scan_day_impl(core::CivilDate day, const ScanPredicate* pre
                                    RowSink fn) const {
   ScanScratch scratch;
   const auto visit = [&](const DayBlockIndex::Block& b, std::span<const std::byte> body,
-                         ScanResult& res, const PrevBlockResolver* resolver) {
-    scan_block(body, b.record_count, predicate, scratch, res, fn, resolver);
+                         ScanResult& res) {
+    scan_block(body, b.record_count, predicate, scratch, res, fn);
   };
   return scan_day_walk(*this, day, visit);
 }
@@ -870,8 +733,8 @@ ScanResult DataLake::scan_day_batches_impl(core::CivilDate day, const ScanPredic
                                            BatchSink fn) const {
   ScanScratch scratch;
   const auto visit = [&](const DayBlockIndex::Block& b, std::span<const std::byte> body,
-                         ScanResult& res, const PrevBlockResolver* resolver) {
-    scan_block_batches(body, b.record_count, predicate, scratch, res, fn, resolver);
+                         ScanResult& res) {
+    scan_block_batches(body, b.record_count, predicate, scratch, res, fn);
   };
   return scan_day_walk(*this, day, visit);
 }
@@ -966,10 +829,6 @@ DayHealth DataLake::repair_day(core::CivilDate day) {
     return h;
   }
   FileModel m = parse_file(*data);
-  // The original stream adjacency (pre-verify blocks + salvage candidates)
-  // is what delta links were encoded against; transcoding below re-decodes
-  // through it.
-  const std::vector<BlockRef> parsed_blocks = m.blocks;
   deep_verify_columnar(*data, m);
   DayHealth h = assess(m, day);
 
@@ -999,56 +858,10 @@ DayHealth DataLake::repair_day(core::CivilDate day) {
   out.u8(kVersion);
   std::uint32_t new_seq = 0;
   std::uint64_t cum_records = 0;
-  // Blocks whose dictionary chain leaned on a quarantined or salvaged
-  // predecessor survive the rebuild only as chain heads: decode them
-  // through the original adjacency and re-encode with full dictionaries.
-  // The block's own dictionary (entries, first-appearance order) is
-  // identical either way, so later blocks that delta-link to IT keep
-  // resolving — their link CRC hashes the resolved entries, not the wire
-  // encoding.
-  const std::vector<BlockRef> chain = chain_order(parsed_blocks, m.salvage);
-  std::size_t next_transcode = 0;
-  for (std::size_t i = 0; i < m.blocks.size(); ++i) {
-    const BlockRef& b = m.blocks[i];
+  for (const BlockRef& b : m.blocks) {
     const auto body =
         std::span<const std::byte>{*data}.subspan(b.offset + kBlockHeaderSize, b.body_len);
-    const bool transcode =
-        next_transcode < m.transcode.size() && m.transcode[next_transcode] == i;
-    if (!transcode) {
-      put_block_frame(out, new_seq++, b.record_count, body);
-      cum_records += b.record_count;
-      continue;
-    }
-    ++next_transcode;
-    std::size_t ci = 0;
-    while (ci < chain.size() && chain[ci].offset != b.offset) ++ci;
-    const auto resolve = [&, ci](std::size_t back) -> std::span<const std::byte> {
-      if (back == 0 || back > ci) return {};
-      const BlockRef& p = chain[ci - back];
-      return std::span<const std::byte>{*data}.subspan(p.offset + kBlockHeaderSize, p.body_len);
-    };
-    const PrevBlockResolver resolver{resolve};
-    std::vector<flow::FlowRecord> recs;
-    recs.reserve(b.record_count);
-    ColumnScratch cs;
-    std::uint64_t n = 0;
-    const auto collect = [&recs](const flow::FlowRecord& r) { recs.push_back(r); };
-    const auto status =
-        decode_columnar_block(body, cs, nullptr, n, collect, b.record_count, &resolver);
-    if (status != BlockDecodeStatus::kOk) {
-      // deep_verify proved this decode moments ago; treat a failure here as
-      // fresh damage and quarantine the block rather than abort the repair.
-      m.bad.push_back({b.offset, b.offset + kBlockHeaderSize + b.body_len});
-      h.blocks_ok -= 1;
-      h.records_ok -= b.record_count;
-      h.blocks_quarantined += 1;
-      h.bytes_quarantined += kBlockHeaderSize + b.body_len;
-      h.records_lost += b.record_count;
-      continue;
-    }
-    core::ByteWriter head;
-    encode_columnar_block(recs, effective_catalog(), head);
-    put_block_frame(out, new_seq++, b.record_count, head.view());
+    put_block_frame(out, new_seq++, b.record_count, body);
     cum_records += b.record_count;
   }
   put_seal(out, cum_records, new_seq);

@@ -105,18 +105,6 @@ class DayBlockIndex {
   /// unsealed but undamaged tail still reads kOk here (fsck reports it).
   [[nodiscard]] core::Errc baseline() const noexcept { return baseline_; }
   [[nodiscard]] const std::vector<Block>& blocks() const noexcept { return blocks_; }
-  /// Every framed element of the file in stream order: the CRC-valid blocks
-  /// of blocks() interleaved with dictionary-salvage candidates carved from
-  /// damaged ranges (frames whose header still parses but whose CRC failed).
-  /// Dictionary chain resolvers must walk THIS order — `back` steps in a
-  /// delta link count original stream positions, so skipping a damaged
-  /// predecessor would mis-align every link behind it. Serving unverified
-  /// candidate bodies is safe: the chain walk re-derives the predecessor
-  /// dictionary and accepts it only when it hashes to the link's recorded
-  /// CRC, so a corrupt candidate fails cleanly instead of mis-resolving.
-  [[nodiscard]] const std::vector<Block>& chain() const noexcept { return chain_; }
-  /// Position of blocks()[i] within chain().
-  [[nodiscard]] std::size_t chain_pos(std::size_t i) const noexcept { return chain_pos_[i]; }
   /// Damaged byte ranges stepped over while indexing (counts toward
   /// ScanResult::blocks_skipped, exactly as in the serial scan).
   [[nodiscard]] std::uint32_t damaged_ranges() const noexcept { return damaged_ranges_; }
@@ -129,8 +117,6 @@ class DayBlockIndex {
   friend class DataLake;
   std::shared_ptr<const std::vector<std::byte>> data_;
   std::vector<Block> blocks_;
-  std::vector<Block> chain_;
-  std::vector<std::uint32_t> chain_pos_;
   std::uint32_t damaged_ranges_ = 0;
   core::Errc fatal_ = core::Errc::kOk;
   core::Errc baseline_ = core::Errc::kOk;
@@ -280,15 +266,11 @@ class DataLake {
   /// counted as skipped and corrupt; blocks decode atomically, so a damaged
   /// one delivers nothing. `record_count` is the frame header's count
   /// (cross-checked against the zone map; pass kAnyRecordCount when
-  /// unknown). `prev_blocks`, when given, resolves
-  /// layout-2 dictionary delta chains on random access (pass a resolver
-  /// over the day's block adjacency — see PrevBlockResolver); without it a
-  /// delta block only decodes when the scratch's chain cache holds its
-  /// predecessor, i.e. when blocks are scanned in file order.
+  /// unknown). Every block decodes from its own bytes, so blocks may be
+  /// scanned in any order.
   static void scan_block(std::span<const std::byte> body, std::uint32_t record_count,
                          const ScanPredicate* predicate, ScanScratch& scratch, ScanResult& res,
-                         core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                         const PrevBlockResolver* prev_blocks = nullptr);
+                         core::FunctionRef<void(const flow::FlowRecord&)> fn);
 
   /// Batch counterpart of scan_block: the block's surviving rows are
   /// delivered as one RecordBatch viewing the decode scratch directly — the
@@ -298,8 +280,7 @@ class DataLake {
   /// call.
   static void scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
                                  const ScanPredicate* predicate, ScanScratch& scratch,
-                                 ScanResult& res, BatchSink fn,
-                                 const PrevBlockResolver* prev_blocks = nullptr);
+                                 ScanResult& res, BatchSink fn);
 
   /// Convenience: materialize a day (recoverable records only).
   [[nodiscard]] std::vector<flow::FlowRecord> read_day(core::CivilDate day) const;
@@ -395,13 +376,10 @@ class DataLake {
 
  private:
   /// One slot of the pipelined-encode ring: the reusable per-task scratch
-  /// (satellite of the write-path overhaul — scratch survives across
-  /// flushes, so the steady state allocates nothing), the recomputed
-  /// dictionary chain state of the block's predecessor, the encoded body,
-  /// and the in-flight handle.
+  /// (it survives across flushes, so the steady state allocates nothing),
+  /// the encoded body, and the in-flight handle.
   struct EncodeSlot {
     EncodeScratch scratch;
-    DictChainState chain;
     core::ByteWriter body;
     std::future<void> done;
   };

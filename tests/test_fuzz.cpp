@@ -336,7 +336,8 @@ TEST(Fuzz, MutatedColumnarBodiesNeverCrashOrLeakPartialBlocks) {
   std::vector<std::byte> mut;
   for (int i = 0; i < 20'000; ++i) {
     if (i % 4 == 3) {
-      mut = seeded_bytes(rng, 512, {0xC3, 1});  // wholly random, right tag
+      // Wholly random after a valid tag and layout byte.
+      mut = seeded_bytes(rng, 512, {ew::storage::kColumnarTag, ew::storage::kColumnarLayout});
     } else {
       mut.assign(valid.begin(), valid.end());
       const std::size_t flips = 1 + ew::core::uniform_below(rng, 8);

@@ -780,58 +780,74 @@ void put_seal(ByteWriter& out, std::uint64_t records, std::uint32_t blocks) {
 }  // namespace
 
 TEST(DataLake, NonColumnarBlockIsSkippedAndQuarantined) {
-  // A version-3 file whose middle frame is CRC-valid but carries a
-  // row-format body (compressed encode_record stream): the frame checks
-  // out, the body does not, so it is a skipped, corrupt block.
-  TempDir dir;
+  // A version-3 file whose middle frame is CRC-valid but carries a body the
+  // columnar decoder must refuse: the frame checks out, the body does not,
+  // so it is a skipped, corrupt block. Two such bodies: a row-format body
+  // (compressed encode_record stream), and a columnar body whose layout
+  // byte names the retired layout 1.
   const CivilDate day{2015, 9, 11};
   const auto& catalog = ew::services::ServiceCatalog::standard();
   const auto first = sample_batch(4, 50), row = sample_batch(5, 40), last = sample_batch(6, 30);
-  ByteWriter file;
-  file.string("EWLK");
-  file.u8(3);
-  ByteWriter body;
-  ew::storage::encode_columnar_block(first, catalog, body);
-  put_frame(file, 0, 50, body.view());
-  ByteWriter stream;
-  for (const auto& r : row) ew::storage::encode_record(r, stream);
-  put_frame(file, 1, 40, ew::storage::compress_block(stream.view()));
-  body.clear();
-  ew::storage::encode_columnar_block(last, catalog, body);
-  put_frame(file, 2, 30, body.view());
-  put_seal(file, 120, 3);
-  spew(dir.path / ew::storage::DataLake::day_filename(day),
-       std::string(reinterpret_cast<const char*>(file.view().data()), file.size()));
+  std::vector<std::pair<const char*, std::vector<std::byte>>> bad_bodies;
+  {
+    ByteWriter stream;
+    for (const auto& r : row) ew::storage::encode_record(r, stream);
+    bad_bodies.emplace_back("row-format body", ew::storage::compress_block(stream.view()));
+    ByteWriter body;
+    ew::storage::encode_columnar_block(row, catalog, body);
+    std::vector<std::byte> wrong_layout(body.view().begin(), body.view().end());
+    ASSERT_EQ(std::to_integer<std::uint8_t>(wrong_layout[1]), ew::storage::kColumnarLayout);
+    wrong_layout[1] = std::byte{1};
+    bad_bodies.emplace_back("wrong layout byte", std::move(wrong_layout));
+  }
 
-  ew::storage::DataLake lake{dir.path};
-  std::vector<FlowRecord> expected = first;
-  expected.insert(expected.end(), last.begin(), last.end());
-  std::size_t rows = 0;
-  const auto batches =
-      lake.scan_day_batches(day, [&](const ew::exec::RecordBatch& b) { rows += b.rows; });
-  EXPECT_EQ(batches.errc, ew::core::Errc::kCorrupt);
-  EXPECT_EQ(batches.blocks_skipped, 1u);
-  EXPECT_EQ(batches.records_delivered, expected.size());
-  EXPECT_EQ(rows, expected.size());
-  ew::storage::ScanResult status;
-  const auto delivered = lake.read_day(day, status);
-  EXPECT_EQ(status.errc, ew::core::Errc::kCorrupt);
-  EXPECT_EQ(status.blocks_skipped, 1u);
-  ASSERT_EQ(delivered.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) expect_equal(delivered[i], expected[i]);
+  for (const auto& [what, bad_body] : bad_bodies) {
+    SCOPED_TRACE(what);
+    TempDir dir;
+    ByteWriter file;
+    file.string("EWLK");
+    file.u8(3);
+    ByteWriter body;
+    ew::storage::encode_columnar_block(first, catalog, body);
+    put_frame(file, 0, 50, body.view());
+    put_frame(file, 1, 40, bad_body);
+    body.clear();
+    ew::storage::encode_columnar_block(last, catalog, body);
+    put_frame(file, 2, 30, body.view());
+    put_seal(file, 120, 3);
+    spew(dir.path / ew::storage::DataLake::day_filename(day),
+         std::string(reinterpret_cast<const char*>(file.view().data()), file.size()));
 
-  const auto health = lake.fsck_day(day);
-  EXPECT_FALSE(health.healthy());
-  EXPECT_EQ(health.blocks_quarantined, 1u);
-  EXPECT_EQ(health.records_lost, 40u);
+    ew::storage::DataLake lake{dir.path};
+    std::vector<FlowRecord> expected = first;
+    expected.insert(expected.end(), last.begin(), last.end());
+    std::size_t rows = 0;
+    const auto batches =
+        lake.scan_day_batches(day, [&](const ew::exec::RecordBatch& b) { rows += b.rows; });
+    EXPECT_EQ(batches.errc, ew::core::Errc::kCorrupt);
+    EXPECT_EQ(batches.blocks_skipped, 1u);
+    EXPECT_EQ(batches.records_delivered, expected.size());
+    EXPECT_EQ(rows, expected.size());
+    ew::storage::ScanResult status;
+    const auto delivered = lake.read_day(day, status);
+    EXPECT_EQ(status.errc, ew::core::Errc::kCorrupt);
+    EXPECT_EQ(status.blocks_skipped, 1u);
+    ASSERT_EQ(delivered.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) expect_equal(delivered[i], expected[i]);
 
-  const auto report = lake.repair_day(day);
-  EXPECT_TRUE(report.repaired);
-  EXPECT_EQ(report.blocks_quarantined, 1u);
-  EXPECT_FALSE(fs::is_empty(dir.path / "quarantine"));
-  EXPECT_TRUE(lake.fsck_day(day).healthy());
-  ASSERT_EQ(lake.read_day(day, status).size(), expected.size());
-  EXPECT_TRUE(status.ok());
+    const auto health = lake.fsck_day(day);
+    EXPECT_FALSE(health.healthy());
+    EXPECT_EQ(health.blocks_quarantined, 1u);
+    EXPECT_EQ(health.records_lost, 40u);
+
+    const auto report = lake.repair_day(day);
+    EXPECT_TRUE(report.repaired);
+    EXPECT_EQ(report.blocks_quarantined, 1u);
+    EXPECT_FALSE(fs::is_empty(dir.path / "quarantine"));
+    EXPECT_TRUE(lake.fsck_day(day).healthy());
+    ASSERT_EQ(lake.read_day(day, status).size(), expected.size());
+    EXPECT_TRUE(status.ok());
+  }
 }
 
 // ------------------------------------------------- writer failure handling
