@@ -146,13 +146,17 @@ int main(int argc, char** argv) {
       ew::storage::ScanPredicate::project(ew::analytics::kDayAggregateScanFields);
 
   // Row baseline: the pre-batch consumption shape — every record
-  // materialized through the batch->row shim, classified, then aggregated.
+  // materialized through the batch->row shim (exec::materialize_rows, one
+  // reused FlowRecord across the day), classified, then aggregated.
   ew::analytics::DayAggregate row_agg;
   std::uint64_t row_records = 0;
   const double row_s = best_of(repeats, [&] {
     ew::analytics::DayAggregator agg(base);
-    const auto scan = lake.scan_day(base, proj,
-                                    [&](const ew::flow::FlowRecord& r) { agg.add(r); });
+    ew::flow::FlowRecord rec;
+    const auto add = [&agg](const ew::flow::FlowRecord& r) { agg.add(r); };
+    const auto scan = lake.scan_day_batches(base, proj, [&](const ew::exec::RecordBatch& b) {
+      ew::exec::materialize_rows(b, rec, add);
+    });
     row_records = scan.records_delivered;
     row_agg = std::move(agg).take();
   });

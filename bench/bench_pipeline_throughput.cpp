@@ -58,8 +58,13 @@ void BM_CompressBlock(benchmark::State& state) {
     ew::storage::encode_record(records[i], w);
   }
   const std::vector<std::byte> block{w.view().begin(), w.view().end()};
+  ew::storage::CompressScratch scratch;
+  std::vector<std::byte> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ew::storage::compress_block(block));
+    out.clear();
+    ew::storage::compress_block_lazy_append(block, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(block.size()));
 }
@@ -73,7 +78,8 @@ void BM_LakeWriteScan(benchmark::State& state) {
     ew::storage::DataLake lake{dir};
     lake.append({2016, 5, 10}, records);
     std::size_t n = 0;
-    lake.scan_day({2016, 5, 10}, [&n](const ew::flow::FlowRecord&) { ++n; });
+    lake.scan_day_batches({2016, 5, 10},
+                          [&n](const ew::exec::RecordBatch& b) { n += b.delivered_rows(); });
     benchmark::DoNotOptimize(n);
   }
   std::filesystem::remove_all(dir);
@@ -98,11 +104,11 @@ void BM_LakeFullDayScan(benchmark::State& state) {
       ew::storage::ScanPredicate::project(ew::analytics::kDayAggregateScanFields);
   for (auto _ : state) {
     std::uint64_t sum = 0;
-    const auto count = [&sum](const ew::flow::FlowRecord& r) {
-      sum += r.up.bytes + r.down.bytes;
+    const auto count = [&sum](const ew::exec::RecordBatch& b) {
+      b.for_each_row([&](std::size_t i) { sum += b.up_bytes[i] + b.dn_bytes[i]; });
     };
-    const auto res = mode == 2 ? lake.scan_day({2016, 5, 10}, proj, count)
-                               : lake.scan_day({2016, 5, 10}, count);
+    const auto res = mode == 2 ? lake.scan_day_batches({2016, 5, 10}, proj, count)
+                               : lake.scan_day_batches({2016, 5, 10}, count);
     if (res.records_delivered != records.size()) state.SkipWithError("short scan");
     benchmark::DoNotOptimize(sum);
   }
@@ -141,7 +147,9 @@ void print_compression_report() {
   ew::core::ByteWriter w;
   for (const auto& r : records) ew::storage::encode_record(r, w);
   const std::vector<std::byte> raw{w.view().begin(), w.view().end()};
-  const auto compressed = ew::storage::compress_block(raw);
+  std::vector<std::byte> compressed;
+  ew::storage::CompressScratch scratch;
+  ew::storage::compress_block_lazy_append(raw, compressed, scratch);
   std::printf("\n================================================================\n");
   std::printf("§2.2 storage pipeline (one synthetic day: %zu records)\n", records.size());
   std::printf("================================================================\n");

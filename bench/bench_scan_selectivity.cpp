@@ -5,8 +5,8 @@
 // alone, without decompressing a single pruned segment.
 //
 // One time-sorted record stream is written to a lake once; two full-day
-// scans (every field, projected to the day-aggregate fields) and the
-// predicate scan are then timed. Delivered-record counts and a byte
+// batch scans (every field, projected to the day-aggregate fields) and the
+// predicate scan are then timed, each summing byte counters per batch. Delivered-record counts and a byte
 // checksum over projected counters are checked against the in-memory
 // records the lake was written from, filtered by ScanPredicate::matches
 // (a fast scan that returns a different answer is a bug, not a win), and
@@ -22,6 +22,7 @@
 
 #include "analytics/parallel.hpp"
 #include "core/time.hpp"
+#include "exec/record_batch.hpp"
 #include "storage/columnar.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
@@ -110,23 +111,23 @@ int main(int argc, char** argv) {
   std::uint64_t chk = 0, chk_proj = 0, chk_sel = 0;
   ew::storage::ScanResult sel_scan;
   std::uint64_t sum = 0;
-  const auto count = [&](const ew::flow::FlowRecord& r) {
-    sum += r.up.bytes + r.down.bytes;
+  const auto count = [&](const ew::exec::RecordBatch& b) {
+    b.for_each_row([&](std::size_t i) { sum += b.up_bytes[i] + b.dn_bytes[i]; });
   };
 
   const double full_s = best_of(repeats, [&] {
     sum = 0;
-    full = lake.scan_day(base, count).records_delivered;
+    full = lake.scan_day_batches(base, count).records_delivered;
     chk = sum;
   });
   const double proj_s = best_of(repeats, [&] {
     sum = 0;
-    full_proj = lake.scan_day(base, proj, count).records_delivered;
+    full_proj = lake.scan_day_batches(base, proj, count).records_delivered;
     chk_proj = sum;
   });
   const double sel_s = best_of(repeats, [&] {
     sum = 0;
-    sel_scan = lake.scan_day(base, pred, count);
+    sel_scan = lake.scan_day_batches(base, pred, count);
     sel = sel_scan.records_delivered;
     chk_sel = sum;
   });

@@ -92,15 +92,10 @@ void DayAggregator::add_batch(const exec::RecordBatch& batch) {
   // add()).
   const bool have_names = !batch.name_idx.empty() && !batch.name_dict.empty();
   if (have_names) {
-    dict_service_.clear();
+    catalog_.classify_names(batch.name_dict, dict_service_);
     dict_sld_.clear();
-    dict_service_.reserve(batch.name_dict.size());
     dict_sld_.reserve(batch.name_dict.size());
-    for (const auto name : batch.name_dict) {
-      dict_service_.push_back(name.empty() ? services::ServiceId::kOther
-                                           : catalog_.classify_domain(name));
-      dict_sld_.push_back(second_level_domain(name));
-    }
+    for (const auto name : batch.name_dict) dict_sld_.push_back(second_level_domain(name));
   }
   const auto col_u64 = [](std::span<const std::uint64_t> col, std::size_t i) noexcept {
     return col.empty() ? std::uint64_t{0} : col[i];
@@ -126,10 +121,8 @@ void DayAggregator::add_batch(const exec::RecordBatch& batch) {
     const auto l7 = batch.l7.empty() ? dpi::L7Protocol{}
                                      : static_cast<dpi::L7Protocol>(batch.l7[i]);
     const std::uint32_t name_idx = have_names ? batch.name_idx[i] : 0;
-    const services::ServiceId service =
-        dpi::is_p2p(l7) ? services::ServiceId::kPeerToPeer
-        : have_names    ? dict_service_[name_idx]
-                        : services::ServiceId::kOther;
+    const services::ServiceId service = services::ServiceCatalog::with_l7(
+        l7, have_names ? dict_service_[name_idx] : services::ServiceId::kOther);
     const auto service_idx = static_cast<std::size_t>(service);
     const std::uint64_t up_bytes = col_u64(batch.up_bytes, i);
     const std::uint64_t down_bytes = col_u64(batch.dn_bytes, i);

@@ -35,6 +35,49 @@ AggregateObs& aggregate_obs() {
   return m;
 }
 
+/// Index one day, let `run(idx, out)` aggregate its blocks — serially or
+/// fanned out — then fold the damage found while indexing (ranges stepped
+/// over, baseline status) into the scan result.
+template <typename Run>
+DayScanAggregate aggregate_indexed_day(const storage::DataLake& lake, core::CivilDate day,
+                                       Run&& run) {
+  DayScanAggregate out;
+  out.aggregate.date = day;
+  const storage::DayBlockIndex idx = lake.load_day_blocks(day);
+  if (idx.fatal() != core::Errc::kOk) {
+    out.scan.errc = idx.fatal();
+    return out;
+  }
+  run(idx, out);
+  out.scan.blocks_skipped += idx.damaged_ranges();
+  if (out.scan.errc == core::Errc::kOk || idx.baseline() == core::Errc::kCorrupt) {
+    out.scan.errc = idx.baseline();
+  }
+  return out;
+}
+
+/// Stage one over the indexed blocks [lo, hi), in block order. Batch
+/// delivery: blocks aggregate column-at-a-time with dict-code pass-through
+/// (no per-row FlowRecord, no string materialization) — identical
+/// aggregates to the per-record add(), which add_batch is golden-tested
+/// against.
+DayScanAggregate aggregate_block_range(const storage::DayBlockIndex& idx, core::CivilDate day,
+                                       std::size_t lo, std::size_t hi,
+                                       const storage::ScanPredicate* predicate,
+                                       storage::ScanScratch& scratch,
+                                       const services::ServiceCatalog& catalog) {
+  DayAggregator agg(day, catalog);
+  DayScanAggregate out;
+  auto deliver = [&agg](const exec::RecordBatch& b) { agg.add_batch(b); };
+  for (std::size_t i = lo; i < hi; ++i) {
+    const auto& block = idx.blocks()[i];
+    storage::DataLake::scan_block_batches(idx.body(block), block.record_count, predicate, scratch,
+                                          out.scan, deliver);
+  }
+  out.aggregate = std::move(agg).take();
+  return out;
+}
+
 }  // namespace
 
 DayScanAggregate aggregate_day(const storage::DataLake& lake, core::CivilDate day,
@@ -49,99 +92,41 @@ DayScanAggregate aggregate_day(const storage::DataLake& lake, core::CivilDate da
                                const services::ServiceCatalog& catalog) {
   if (predicate == nullptr) predicate = &day_aggregate_projection();
   obs::Span day_span(*aggregate_obs().day_span);
-  DayAggregator agg(day, catalog);
-  DayScanAggregate out;
-  out.aggregate.date = day;
-  const storage::DayBlockIndex idx = lake.load_day_blocks(day);
-  if (idx.fatal() != core::Errc::kOk) {
-    out.scan.errc = idx.fatal();
-    return out;
-  }
-  // Batch delivery: blocks aggregate column-at-a-time with dict-code
-  // pass-through (no per-row FlowRecord, no string materialization).
-  // Identical aggregates to the per-record callback — add_batch is
-  // golden-tested against add().
-  auto deliver = [&agg](const exec::RecordBatch& b) { agg.add_batch(b); };
-  for (const auto& b : idx.blocks()) {
-    storage::DataLake::scan_block_batches(idx.body(b), b.record_count, predicate, scratch,
-                                          out.scan, deliver);
-  }
-  out.scan.blocks_skipped += idx.damaged_ranges();
-  if (out.scan.errc == core::Errc::kOk || idx.baseline() == core::Errc::kCorrupt) {
-    out.scan.errc = idx.baseline();
-  }
+  DayScanAggregate out = aggregate_indexed_day(
+      lake, day, [&](const storage::DayBlockIndex& idx, DayScanAggregate& o) {
+        o = aggregate_block_range(idx, day, 0, idx.blocks().size(), predicate, scratch, catalog);
+      });
   if constexpr (obs::kEnabled) aggregate_obs().records->add(out.scan.records_delivered);
-  out.aggregate = std::move(agg).take();
   return out;
 }
 
-namespace {
-
-DayScanAggregate aggregate_day_parallel_impl(const storage::DataLake& lake, core::CivilDate day,
-                                             core::ThreadPool& pool,
-                                             const storage::ScanPredicate* predicate,
-                                             const services::ServiceCatalog& catalog) {
+DayScanAggregate aggregate_day_parallel(const storage::DataLake& lake, core::CivilDate day,
+                                        core::ThreadPool& pool,
+                                        const storage::ScanPredicate* predicate,
+                                        const services::ServiceCatalog& catalog) {
   if (predicate == nullptr) predicate = &day_aggregate_projection();
-  DayScanAggregate out;
-  out.aggregate.date = day;
-  const storage::DayBlockIndex idx = lake.load_day_blocks(day);
-  if (idx.fatal() != core::Errc::kOk) {
-    out.scan.errc = idx.fatal();
-    return out;
-  }
-
-  struct Partial {
-    DayAggregate aggregate;
-    storage::ScanResult scan;
-  };
-  const std::size_t n = idx.blocks().size();
-  const std::size_t tasks = std::min(n, std::max<std::size_t>(1, pool.size()));
-  std::vector<std::future<Partial>> futures;
-  futures.reserve(tasks);
-  for (std::size_t t = 0; t < tasks; ++t) {
-    // Balanced contiguous ranges: contiguity is what makes the in-order
-    // merge reproduce the serial record stream.
-    const std::size_t lo = n * t / tasks;
-    const std::size_t hi = n * (t + 1) / tasks;
-    futures.push_back(pool.submit([&idx, &catalog, predicate, day, lo, hi] {
-      DayAggregator agg(day, catalog);
-      Partial p;
-      storage::ScanScratch scratch;
-      auto deliver = [&agg](const exec::RecordBatch& b) { agg.add_batch(b); };
-      for (std::size_t b = lo; b < hi; ++b) {
-        const auto& block = idx.blocks()[b];
-        storage::DataLake::scan_block_batches(idx.body(block), block.record_count, predicate,
-                                              scratch, p.scan, deliver);
-      }
-      p.aggregate = std::move(agg).take();
-      return p;
-    }));
-  }
-  for (auto& f : futures) {
-    Partial p = f.get();  // rethrows a worker's exception
-    out.aggregate.merge(p.aggregate);
-    out.scan.merge(p.scan);
-  }
-  out.scan.blocks_skipped += idx.damaged_ranges();
-  if (out.scan.errc == core::Errc::kOk || idx.baseline() == core::Errc::kCorrupt) {
-    out.scan.errc = idx.baseline();
-  }
-  return out;
-}
-
-}  // namespace
-
-DayScanAggregate aggregate_day_parallel(const storage::DataLake& lake, core::CivilDate day,
-                                        core::ThreadPool& pool,
-                                        const services::ServiceCatalog& catalog) {
-  return aggregate_day_parallel_impl(lake, day, pool, nullptr, catalog);
-}
-
-DayScanAggregate aggregate_day_parallel(const storage::DataLake& lake, core::CivilDate day,
-                                        core::ThreadPool& pool,
-                                        const storage::ScanPredicate& predicate,
-                                        const services::ServiceCatalog& catalog) {
-  return aggregate_day_parallel_impl(lake, day, pool, &predicate, catalog);
+  return aggregate_indexed_day(lake, day, [&](const storage::DayBlockIndex& idx,
+                                              DayScanAggregate& out) {
+    const std::size_t n = idx.blocks().size();
+    const std::size_t tasks = std::min(n, std::max<std::size_t>(1, pool.size()));
+    std::vector<std::future<DayScanAggregate>> futures;
+    futures.reserve(tasks);
+    for (std::size_t t = 0; t < tasks; ++t) {
+      // Balanced contiguous ranges: contiguity is what makes the in-order
+      // merge reproduce the serial record stream.
+      const std::size_t lo = n * t / tasks;
+      const std::size_t hi = n * (t + 1) / tasks;
+      futures.push_back(pool.submit([&idx, &catalog, predicate, day, lo, hi] {
+        storage::ScanScratch scratch;
+        return aggregate_block_range(idx, day, lo, hi, predicate, scratch, catalog);
+      }));
+    }
+    for (auto& f : futures) {
+      DayScanAggregate p = f.get();  // rethrows a worker's exception
+      out.aggregate.merge(p.aggregate);
+      out.scan.merge(p.scan);
+    }
+  });
 }
 
 std::vector<DayScanAggregate> aggregate_days_parallel(const storage::DataLake& lake,

@@ -68,19 +68,14 @@ static_assert(kDayAggregateScanFields ==
 /// Aggregate one day with its blocks fanned out over `pool`. Each worker
 /// decodes a contiguous block range with its own ScanScratch (one
 /// decompression buffer per worker, not per block) into a partial
-/// DayAggregate; partials merge in block order. Must not be called from
-/// inside a pool task — the fan-out waits on the same pool.
+/// DayAggregate; partials merge in block order. A non-null predicate is
+/// passed to every worker's block scans, so zone-map pruning and column
+/// skipping happen inside each range; merge order (and thus the delivered
+/// record order) is unchanged. Must not be called from inside a pool task —
+/// the fan-out waits on the same pool.
 [[nodiscard]] DayScanAggregate aggregate_day_parallel(
     const storage::DataLake& lake, core::CivilDate day, core::ThreadPool& pool,
-    const services::ServiceCatalog& catalog = services::ServiceCatalog::standard());
-
-/// Parallel + predicate pushdown: same fan-out, but every worker passes
-/// the predicate to its block scans, so zone-map pruning and column
-/// skipping happen inside each contiguous range. Merge order (and thus
-/// the delivered record order) is unchanged.
-[[nodiscard]] DayScanAggregate aggregate_day_parallel(
-    const storage::DataLake& lake, core::CivilDate day, core::ThreadPool& pool,
-    const storage::ScanPredicate& predicate,
+    const storage::ScanPredicate* predicate = nullptr,
     const services::ServiceCatalog& catalog = services::ServiceCatalog::standard());
 
 /// Aggregate many days, one pool task per day (aggregation inside each

@@ -52,8 +52,7 @@ namespace {
 /// constants, leaving the per-row loop with no projection branches at all.
 template <typename WantP>
 void materialize_impl(const RecordBatch& b, flow::FlowRecord& rec,
-                      core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                      std::uint64_t& records_delivered, WantP wantp) {
+                      core::FunctionRef<void(const flow::FlowRecord&)> fn, WantP wantp) {
   const bool wrtt = wantp(scan_fields::kRttMin | scan_fields::kRttSpread);
   // Unprojected fields are value-initialized once per batch: the record
   // object carries state between rows and batches, so stale values must be
@@ -147,28 +146,25 @@ void materialize_impl(const RecordBatch& b, flow::FlowRecord& rec,
       rec.content_type.assign(b.ct_dict[last_ct_idx]);
     }
     fn(rec);
-    ++records_delivered;
   });
 }
 
 }  // namespace
 
 void materialize_rows(const RecordBatch& batch, flow::FlowRecord& rec,
-                      core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                      std::uint64_t& records_delivered) {
+                      core::FunctionRef<void(const flow::FlowRecord&)> fn) {
   if (batch.empty()) return;
   if constexpr (obs::kEnabled) {
     exec_obs().rows_materialized->add(static_cast<std::uint64_t>(batch.delivered_rows()));
   }
   if (batch.fields == scan_fields::kAll) {
-    materialize_impl(batch, rec, fn, records_delivered, [](std::uint32_t) { return true; });
+    materialize_impl(batch, rec, fn, [](std::uint32_t) { return true; });
   } else if (batch.fields == scan_fields::kDayAggregate) {
-    materialize_impl(batch, rec, fn, records_delivered,
+    materialize_impl(batch, rec, fn,
                      [](std::uint32_t bit) { return (scan_fields::kDayAggregate & bit) != 0; });
   } else {
     const std::uint32_t fields = batch.fields;
-    materialize_impl(batch, rec, fn, records_delivered,
-                     [fields](std::uint32_t bit) { return (fields & bit) != 0; });
+    materialize_impl(batch, rec, fn, [fields](std::uint32_t bit) { return (fields & bit) != 0; });
   }
 }
 

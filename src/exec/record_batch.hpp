@@ -102,8 +102,7 @@ struct RecordBatch {
   std::span<const std::uint64_t> rtt_samples, http_status;
   /// Resolved RTT values (the on-disk delta/dense coding is a storage
   /// detail the batch contract hides). min/max are exact; avg is the
-  /// writer's integer-quantized value — same as the row-callback path
-  /// delivers.
+  /// writer's integer-quantized value — same as read_day delivers.
   std::span<const std::int64_t> rtt_min_us, rtt_max_us;
   std::span<const double> rtt_avg_us;
   /// Dictionary-coded string columns: per-row dict indexes plus the block's
@@ -117,8 +116,8 @@ struct RecordBatch {
   }
   [[nodiscard]] bool empty() const noexcept { return delivered_rows() == 0; }
 
-  /// Visit every delivered row index, in row (stream) order — the order the
-  /// row-callback path emits, which aggregate identity depends on.
+  /// Visit every delivered row index, in row (stream) order — the order
+  /// materialize_rows emits, which aggregate identity depends on.
   template <typename Fn>
   void for_each_row(Fn&& fn) const {
     if (sel.empty()) {
@@ -129,16 +128,15 @@ struct RecordBatch {
   }
 };
 
-/// The batch→row compatibility shim: emit every delivered row of `batch`
-/// through the one reused `rec`, exactly as the pre-batch columnar decoder
-/// did — per-block value-initialization of unprojected fields, dict-index
-/// change detection so a string is only re-assigned when the row's code
-/// differs from the previous row's, rows in stream order, ingest_seq
-/// always 0 (not stored in the lake). Counts what `fn` saw into
-/// `records_delivered`.
+/// The batch→row shim behind DataLake::read_day: emit every delivered row
+/// of `batch` through the one reused `rec` — per-batch value-initialization
+/// of unprojected fields, dict-index change detection so a string is only
+/// re-assigned when the row's code differs from the previous row's, rows in
+/// stream order, ingest_seq always 0 (not stored in the lake). String
+/// capacity is reused across rows and batches, so a full-day replay
+/// performs no per-record allocation once the dictionaries warmed `rec`.
 void materialize_rows(const RecordBatch& batch, flow::FlowRecord& rec,
-                      core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                      std::uint64_t& records_delivered);
+                      core::FunctionRef<void(const flow::FlowRecord&)> fn);
 
 /// Observability hook for the native batch delivery path: batches emitted,
 /// rows-per-batch shape, and dict-code pass-through row count (rows whose

@@ -151,19 +151,13 @@ BucketOutcome merge_bucket(const RollupStore& store, const QuerySpec& spec, Dime
       }
       const auto deliver = [&](const exec::RecordBatch& b) {
         if (dim == Dimension::kService) {
-          dict_service.clear();
-          dict_service.reserve(b.name_dict.size());
-          for (const auto name : b.name_dict) {
-            dict_service.push_back(name.empty() ? services::ServiceId::kOther
-                                                : store.catalog().classify_domain(name));
-          }
+          store.catalog().classify_names(b.name_dict, dict_service);
           b.for_each_row([&](std::size_t i) {
             const auto l7 = b.l7.empty() ? dpi::L7Protocol{}
                                          : static_cast<dpi::L7Protocol>(b.l7[i]);
-            const services::ServiceId svc =
-                dpi::is_p2p(l7)        ? services::ServiceId::kPeerToPeer
-                : b.name_idx.empty()   ? services::ServiceId::kOther
-                                       : dict_service[b.name_idx[i]];
+            const services::ServiceId svc = services::ServiceCatalog::with_l7(
+                l7, b.name_idx.empty() ? services::ServiceId::kOther
+                                       : dict_service[b.name_idx[i]]);
             GroupRollup& g = merged.groups[static_cast<std::uint32_t>(svc)];
             ++g.flows;
             g.bytes_up += b.up_bytes.empty() ? 0 : b.up_bytes[i];

@@ -175,10 +175,24 @@ ServiceId ServiceCatalog::classify_domain(std::string_view domain) const {
   return id ? *id : ServiceId::kOther;
 }
 
+namespace {
+
+ServiceId name_verdict(const ServiceCatalog& catalog, std::string_view server_name) {
+  return server_name.empty() ? ServiceId::kOther : catalog.classify_domain(server_name);
+}
+
+}  // namespace
+
 ServiceId ServiceCatalog::classify_flow(dpi::L7Protocol l7, std::string_view server_name) const {
   if (dpi::is_p2p(l7)) return ServiceId::kPeerToPeer;
-  if (server_name.empty()) return ServiceId::kOther;
-  return classify_domain(server_name);
+  return name_verdict(*this, server_name);
+}
+
+void ServiceCatalog::classify_names(std::span<const std::string_view> names,
+                                    std::vector<ServiceId>& out) const {
+  out.clear();
+  out.reserve(names.size());
+  for (const auto name : names) out.push_back(name_verdict(*this, name));
 }
 
 std::optional<ServiceId> ServiceCatalog::by_name(std::string_view name) const noexcept {

@@ -8,7 +8,9 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "core/flat_hash_map.hpp"
 #include "core/hash.hpp"
@@ -82,8 +84,19 @@ class ServiceCatalog {
   [[nodiscard]] ServiceId classify_domain(std::string_view domain) const;
 
   /// Classify a whole flow record: P2P protocols dominate (they carry no
-  /// meaningful hostname), then the hostname rules.
+  /// meaningful hostname), then a nameless flow is kOther, then the
+  /// hostname rules.
   [[nodiscard]] ServiceId classify_flow(dpi::L7Protocol l7, std::string_view server_name) const;
+
+  /// classify_flow for dictionary-coded name columns (the lake's batch
+  /// scans), split so the hostname rules run once per dictionary entry
+  /// instead of once per row: out[k] is the name verdict of names[k]. A row
+  /// then classifies as with_l7(l7, out[name_idx]) — or with_l7(l7, kOther)
+  /// when the batch carries no name column — which equals classify_flow.
+  void classify_names(std::span<const std::string_view> names, std::vector<ServiceId>& out) const;
+  [[nodiscard]] static ServiceId with_l7(dpi::L7Protocol l7, ServiceId name_verdict) noexcept {
+    return dpi::is_p2p(l7) ? ServiceId::kPeerToPeer : name_verdict;
+  }
 
   [[nodiscard]] const ServiceInfo& info(ServiceId id) const noexcept {
     return infos_[static_cast<std::size_t>(id)];

@@ -53,7 +53,7 @@ constexpr std::size_t kColumnCount = 32;
 static_assert(kColumnCount == kColumnSegmentCount,
               "kColumnSegmentCount (columnar.hpp) must track the column enum");
 
-/// Mirror of decode_columnar_block's projection gates, kept adjacent to the
+/// Mirror of decode_columnar_batch's projection gates, kept adjacent to the
 /// column enum so a new column fails the static_assert below instead of
 /// silently skewing the skipped-segments metric.
 constexpr unsigned segments_for_fields_impl(std::uint32_t fields) noexcept {
@@ -664,7 +664,7 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
       }
       // Resolve the deltas here so the batch contract exposes values, not
       // the storage coding. avg stays the writer's integer quantization —
-      // exactly what the row path has always delivered for v3 days.
+      // exactly what read_day has always delivered for v3 days.
       s.rtt_max.resize(n);
       s.rtt_avg.resize(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -704,9 +704,7 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
 
   // Point the batch at the decoded columns. Spans are set exactly for the
   // columns the gates above filled — an unprojected span stays empty, never
-  // stale. From here on the block's rows move as one SoA unit; the old
-  // per-row FlowRecord emission lives on only as the exec::materialize_rows
-  // shim behind decode_columnar_block.
+  // stale. From here on the block's rows move as one SoA unit.
   batch.rows = n;
   if (filtered) batch.sel = s.sel;
   batch.ts = s.ts;
@@ -754,18 +752,6 @@ BlockDecodeStatus decode_columnar_batch(std::span<const std::byte> body, ColumnS
     batch.ct_dict = s.ct_dict;
   }
   return zone_lied ? BlockDecodeStatus::kZoneMapLied : BlockDecodeStatus::kOk;
-}
-
-BlockDecodeStatus decode_columnar_block(std::span<const std::byte> body, ColumnScratch& s,
-                                        const ScanPredicate* predicate,
-                                        std::uint64_t& records_delivered,
-                                        core::FunctionRef<void(const flow::FlowRecord&)> fn,
-                                        std::uint32_t expected_records) {
-  exec::RecordBatch batch;
-  const auto status = decode_columnar_batch(body, s, predicate, batch, expected_records);
-  if (status == BlockDecodeStatus::kCorrupt) return status;
-  exec::materialize_rows(batch, s.rec, fn, records_delivered);
-  return status;
 }
 
 }  // namespace edgewatch::storage

@@ -51,7 +51,6 @@
 
 #include "core/bytes.hpp"
 #include "core/flat_hash_map.hpp"
-#include "core/function_ref.hpp"
 #include "core/hash.hpp"
 #include "core/types.hpp"
 #include "exec/record_batch.hpp"
@@ -187,10 +186,6 @@ struct ColumnScratch {
   std::vector<std::uint64_t> u64_tmp;
   /// Selected row indexes of a filtered decode.
   std::vector<std::uint32_t> sel;
-  /// The one FlowRecord object rows are emitted through: string capacity is
-  /// reused across rows and blocks, so a full-day scan performs no
-  /// per-record allocation once the dictionaries warmed the buffers.
-  flow::FlowRecord rec;
 };
 
 /// Encode-side scratch mirroring ScanScratch: column staging arrays, the
@@ -233,7 +228,7 @@ enum class BlockDecodeStatus : std::uint8_t {
 
 /// Number of column segments a full decode under this projection mask must
 /// touch (out of the fixed per-block segment count — the always-decoded
-/// filter/zone columns included). Mirrors decode_columnar_block's gates;
+/// filter/zone columns included). Mirrors decode_columnar_batch's gates;
 /// observability uses it to count segments *skipped* by a projection.
 [[nodiscard]] unsigned segments_for_fields(std::uint32_t fields) noexcept;
 /// Segments per columnar block; segments_for_fields(kAll).
@@ -254,27 +249,18 @@ void encode_columnar_block(std::span<const flow::FlowRecord> records,
                            const services::ServiceCatalog& catalog, core::ByteWriter& out,
                            EncodeScratch& scratch);
 
-/// Decode a columnar body, delivering records (in row order) to `fn`. With
-/// a predicate, only matching records are delivered — the filter columns
-/// (timestamp, service, proto) decode first and, when nothing matches, the
-/// remaining segments are never touched.
-/// `expected_records` cross-checks the frame header's count (pass
-/// kAnyRecordCount to skip). records_delivered counts what `fn` saw.
+/// Decode a columnar body into `scratch` and point `batch` at the resulting
+/// columns — the lake's one block decoder. With a predicate, only matching
+/// rows are selected (`batch.sel`): the filter columns (timestamp, service,
+/// proto) decode first and, when nothing matches, the remaining segments
+/// are never touched; a projection skips the segments of unrequested
+/// fields. The dictionary-coded name/content-type columns pass through as
+/// dict codes — no per-row string traffic. `expected_records` cross-checks
+/// the frame header's count (pass kAnyRecordCount to skip). On kCorrupt
+/// the batch is left empty; on kZoneMapLied the rows are still delivered
+/// (advisory-never-authoritative). The batch views `scratch` and stays
+/// valid until its next decode.
 inline constexpr std::uint32_t kAnyRecordCount = 0xffffffffu;
-[[nodiscard]] BlockDecodeStatus decode_columnar_block(
-    std::span<const std::byte> body, ColumnScratch& scratch, const ScanPredicate* predicate,
-    std::uint64_t& records_delivered, core::FunctionRef<void(const flow::FlowRecord&)> fn,
-    std::uint32_t expected_records = kAnyRecordCount);
-
-/// Native batch decode — the primary columnar read path since the batch
-/// refactor (decode_columnar_block is this plus the exec::materialize_rows
-/// row shim). Decodes the body into `scratch` and points `batch` at the
-/// resulting columns: same filter-first segment gating, predicate pushdown,
-/// projection skipping and zone cross-checks as the row path, but the
-/// dictionary-coded name/content-type columns pass through as dict codes —
-/// no per-row string traffic. On kCorrupt the batch is left empty; on
-/// kZoneMapLied the rows are still delivered (advisory-never-authoritative).
-/// The batch views `scratch` and stays valid until its next decode.
 [[nodiscard]] BlockDecodeStatus decode_columnar_batch(
     std::span<const std::byte> body, ColumnScratch& scratch, const ScanPredicate* predicate,
     exec::RecordBatch& batch, std::uint32_t expected_records = kAnyRecordCount);

@@ -5,9 +5,9 @@
 //
 //  * Byte-stream compression (schemes 0/1): LZ-style greedy byte compressor
 //    in the LZ4 spirit — a hash table finds previous 4-byte matches within
-//    the block; output is a stream of (literal-run, match) tokens. The
-//    incompressible path falls back to a stored block so compress() never
-//    expands by more than the 5-byte header.
+//    the stream; output is a stream of (literal-run, match) tokens. Unless
+//    LZ saves at least 1/8 of the input the stream is stored instead, so
+//    an envelope never expands by more than its 5-byte header.
 //
 //  * Value-segment codecs (schemes 2/3, columnar block bodies): integer
 //    columns skip byte-stream compression entirely and are packed by shape
@@ -41,11 +41,12 @@ inline constexpr std::size_t kMaxDecompressedSize = std::size_t{1} << 26;
 ///   for    : u8 2 | u32le value_count | u8 bit_width | varint base | packed
 ///   rle    : u8 3 | u32le value_count | (varint run_len | varint value)*
 ///
-/// Schemes 0/1 describe bytes and are produced/consumed by the
-/// compress_block family; schemes 2/3 describe u64 value sequences and only
-/// appear inside compress_u64_segment envelopes. A scheme-2/3 payload
-/// handed to decompress_block* is rejected as malformed, while the segment
-/// decoder accepts all four (a scheme-0/1 envelope holds a varint stream).
+/// Schemes 0/1 describe bytes and are produced by compress_block_lazy_append
+/// and consumed by decompress_block_view; schemes 2/3 describe u64 value
+/// sequences and only appear inside compress_u64_segment envelopes. A
+/// scheme-2/3 payload handed to decompress_block_view is rejected as
+/// malformed, while the segment decoder accepts all four (a scheme-0/1
+/// envelope holds a varint stream).
 inline constexpr std::uint8_t kSchemeStored = 0;
 inline constexpr std::uint8_t kSchemeLz = 1;
 inline constexpr std::uint8_t kSchemeForBitpack = 2;
@@ -71,23 +72,15 @@ struct SegmentEncodeResult {
   std::uint32_t bytes_out = 0;
 };
 
-/// Compress a block. Output begins with a 1-byte scheme tag and a 4-byte
-/// little-endian uncompressed size.
-[[nodiscard]] std::vector<std::byte> compress_block(std::span<const std::byte> input);
-
-/// As compress_block, but emits the stored envelope unless LZ saves at
-/// least 1/8 of the input. Column segments are already varint/delta/dict
-/// packed, so LZ rarely buys much on them — and a stored segment is
-/// decoded zero-copy straight from the file bytes (decompress_block_view
-/// returns a subspan), which is what makes the columnar scan path fast.
-[[nodiscard]] std::vector<std::byte> compress_block_lazy(std::span<const std::byte> input);
-
-/// Append-in-place variants producing byte-identical envelopes while
-/// reusing the caller's match-table scratch: the pipelined encode path
-/// compresses thousands of segments per day file and must not pay a 64 KB
-/// allocation for each.
-void compress_block_append(std::span<const std::byte> input, std::vector<std::byte>& out,
-                           CompressScratch& scratch);
+/// Append a byte-stream envelope (1-byte scheme tag, 4-byte little-endian
+/// uncompressed size, payload) to `out`: the stored envelope unless LZ
+/// saves at least 1/8 of the input. Column segments are already
+/// varint/delta/dict packed, so LZ rarely buys much on them — and a stored
+/// segment is decoded zero-copy straight from the file bytes
+/// (decompress_block_view returns a subspan), which is what makes the
+/// columnar scan path fast. The match table lives in `scratch`: the encode
+/// path compresses thousands of segments per day file and must not pay a
+/// 64 KB allocation for each.
 void compress_block_lazy_append(std::span<const std::byte> input, std::vector<std::byte>& out,
                                 CompressScratch& scratch);
 
@@ -118,16 +111,12 @@ void compress_block_lazy_append(std::span<const std::byte> input, std::vector<st
 [[nodiscard]] bool decompress_zigzag_segment(std::span<const std::byte> input, std::size_t n,
                                              std::int64_t* out, std::vector<std::byte>& scratch);
 
-/// Decompress; nullopt on malformed input (never reads out of bounds, never
-/// allocates more than kMaxDecompressedSize).
-[[nodiscard]] std::optional<std::vector<std::byte>> decompress_block(
-    std::span<const std::byte> input);
-
 /// View the uncompressed bytes of a block: a stored block is returned as a
 /// subspan of `input` itself (zero copy — the columnar scan path decodes
 /// incompressible column segments straight from the mapped file bytes);
 /// an LZ block is inflated into `scratch` and a span over it returned.
-/// nullopt on malformed input.
+/// nullopt on malformed input (never reads out of bounds, never allocates
+/// more than kMaxDecompressedSize).
 [[nodiscard]] std::optional<std::span<const std::byte>> decompress_block_view(
     std::span<const std::byte> input, std::vector<std::byte>& scratch);
 

@@ -374,7 +374,7 @@ void DataLake::encode_day_elements(core::ByteWriter& out,
                                    std::span<const flow::FlowRecord> records,
                                    std::uint32_t next_seq, std::uint64_t cum_records) {
   auto& m = lake_obs();
-  const auto& catalog = effective_catalog();
+  const auto& catalog = services::ServiceCatalog::standard();
   const std::size_t nblocks = (records.size() + kBlockRecords - 1) / kBlockRecords;
   const auto chunk_of = [&](std::size_t i) {
     const std::size_t first = i * kBlockRecords;
@@ -392,8 +392,7 @@ void DataLake::encode_day_elements(core::ByteWriter& out,
   const bool pooled = encode_pool_ != nullptr && nblocks > 1;
   std::size_t window = 1;
   if (pooled) {
-    window = encode_max_inflight_ != 0 ? encode_max_inflight_ : 2 * encode_pool_->size();
-    window = std::clamp<std::size_t>(window, 1, nblocks);
+    window = std::clamp<std::size_t>(2 * encode_pool_->size(), 1, nblocks);
   }
   if (encode_slots_.size() < window) encode_slots_.resize(window);
 
@@ -451,10 +450,6 @@ void DataLake::encode_day_elements(core::ByteWriter& out,
   put_seal(out, cum_records, next_seq);
 }
 
-const services::ServiceCatalog& DataLake::effective_catalog() const noexcept {
-  return write_catalog_ != nullptr ? *write_catalog_ : services::ServiceCatalog::standard();
-}
-
 core::Result<std::uint64_t> DataLake::append(core::CivilDate day,
                                              std::span<const flow::FlowRecord> records) {
   if (records.empty()) return std::uint64_t{0};
@@ -503,18 +498,16 @@ core::Result<std::uint64_t> DataLake::append_impl(core::CivilDate day,
   std::uint64_t cum_records = 0;
   bool fresh = true;
   bool from_cache = false;
-  if (append_cursor_cache_) {
-    if (const auto it = append_cursors_.find(day); it != append_cursors_.end()) {
-      const auto st = stat_size_mtime(path);
-      if (st && st->first == it->second.file_size && st->second == it->second.mtime_ns) {
-        fresh = false;
-        from_cache = true;
-        start = it->second.file_size;  // a cached day ends sealed at EOF
-        next_seq = it->second.next_seq;
-        cum_records = it->second.cum_records;
-      } else {
-        append_cursors_.erase(it);  // rewritten behind our back: reparse
-      }
+  if (const auto it = append_cursors_.find(day); it != append_cursors_.end()) {
+    const auto st = stat_size_mtime(path);
+    if (st && st->first == it->second.file_size && st->second == it->second.mtime_ns) {
+      fresh = false;
+      from_cache = true;
+      start = it->second.file_size;  // a cached day ends sealed at EOF
+      next_seq = it->second.next_seq;
+      cum_records = it->second.cum_records;
+    } else {
+      append_cursors_.erase(it);  // rewritten behind our back: reparse
     }
   }
   if (!from_cache && std::filesystem::exists(path)) {
@@ -569,19 +562,16 @@ core::Result<std::uint64_t> DataLake::append_impl(core::CivilDate day,
     append_cursors_.erase(day);
     return r.error();
   }
-  if (append_cursor_cache_) {
-    // The file now provably ends in a seal at exactly start + out.size();
-    // remember the cursor the next append would otherwise re-derive from a
-    // full parse. Keyed to the post-append stat so any out-of-band change
-    // invalidates it.
-    if (const auto st = stat_size_mtime(path);
-        st && st->first == start + out.size()) {
-      append_cursors_[day] = AppendCursor{start + out.size(), st->second,
-                                          next_seq + static_cast<std::uint32_t>(nblocks),
-                                          cum_records + records.size()};
-    } else {
-      append_cursors_.erase(day);
-    }
+  // The file now provably ends in a seal at exactly start + out.size();
+  // remember the cursor the next append would otherwise re-derive from a
+  // full parse. Keyed to the post-append stat so any out-of-band change
+  // invalidates it.
+  if (const auto st = stat_size_mtime(path); st && st->first == start + out.size()) {
+    append_cursors_[day] = AppendCursor{start + out.size(), st->second,
+                                        next_seq + static_cast<std::uint32_t>(nblocks),
+                                        cum_records + records.size()};
+  } else {
+    append_cursors_.erase(day);
   }
   return static_cast<std::uint64_t>(out.size());
 }
@@ -622,73 +612,46 @@ void skip_corrupt_block(LakeObs& m, ScanResult& res) {
   res.errc = core::Errc::kCorrupt;
 }
 
-/// The zone-map gate shared by the row and batch block scans: false when
-/// the block must not be decoded — either its zone map proves the predicate
-/// cannot match (pruned), or the zone map is unreadable or disagrees with
-/// the frame's record count (skipped as corrupt).
-bool admit_block(std::span<const std::byte> body, std::uint32_t record_count,
-                 const ScanPredicate* predicate, LakeObs& m, ScanResult& res) {
-  if (predicate == nullptr || predicate->unrestricted()) return true;
-  const auto zone = peek_zone_map(body);
-  if (!zone || (record_count != kAnyRecordCount && zone->record_count != record_count)) {
-    skip_corrupt_block(m, res);
-    return false;
-  }
-  if (!predicate->admits(*zone)) {
-    // Zone-map proof of absence: skip the block without touching a single
-    // column segment. This is the selective-scan fast path.
-    ++res.blocks_pruned;
-    m.blocks_pruned->add(1);
-    return false;
-  }
-  return true;
-}
+}  // namespace
 
-/// Fold a block decode's status into `res`; false when the block was
-/// skipped as corrupt (nothing was delivered).
-bool note_decode(BlockDecodeStatus status, const ScanPredicate* predicate, LakeObs& m,
-                 ScanResult& res) {
+void DataLake::scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
+                                  const ScanPredicate* predicate, ScanScratch& scratch,
+                                  ScanResult& res, BatchSink fn) {
+  auto& m = lake_obs();
+  if (predicate != nullptr && !predicate->unrestricted()) {
+    // Zone-map gate: an unreadable zone map, or one that disagrees with the
+    // frame's record count, skips the block as corrupt.
+    const auto zone = peek_zone_map(body);
+    if (!zone || (record_count != kAnyRecordCount && zone->record_count != record_count)) {
+      skip_corrupt_block(m, res);
+      return;
+    }
+    if (!predicate->admits(*zone)) {
+      // Zone-map proof of absence: skip the block without touching a single
+      // column segment. This is the selective-scan fast path.
+      ++res.blocks_pruned;
+      m.blocks_pruned->add(1);
+      return;
+    }
+  }
+  exec::RecordBatch batch;
+  const auto status =
+      decode_columnar_batch(body, scratch.columns, predicate, batch, record_count);
   if (status == BlockDecodeStatus::kCorrupt) {
     skip_corrupt_block(m, res);
-    return false;
+    return;
   }
   const std::uint32_t fields = predicate != nullptr ? predicate->fields : scan_fields::kAll;
   if (fields != scan_fields::kAll) {
     m.segments_skipped->add(kColumnSegmentCount - segments_for_fields(fields));
   }
   if (status == BlockDecodeStatus::kZoneMapLied) {
-    // Records were delivered in full, but the block's skip index is
+    // Records are delivered in full, but the block's skip index is
     // untrustworthy: surface corruption so fsck/repair quarantines it.
     m.zone_map_lies->add(1);
     res.errc = core::Errc::kCorrupt;
   }
-  return true;
-}
-
-}  // namespace
-
-void DataLake::scan_block(std::span<const std::byte> body, std::uint32_t record_count,
-                          const ScanPredicate* predicate, ScanScratch& scratch, ScanResult& res,
-                          core::FunctionRef<void(const flow::FlowRecord&)> fn) {
-  auto& m = lake_obs();
-  if (!admit_block(body, record_count, predicate, m, res)) return;
-  const std::uint64_t before = res.records_delivered;
-  const auto status = decode_columnar_block(body, scratch.columns, predicate,
-                                            res.records_delivered, fn, record_count);
-  // One add per block, never per record.
-  if (res.records_delivered > before) m.scan_records->add(res.records_delivered - before);
-  note_decode(status, predicate, m, res);
-}
-
-void DataLake::scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
-                                  const ScanPredicate* predicate, ScanScratch& scratch,
-                                  ScanResult& res, BatchSink fn) {
-  auto& m = lake_obs();
-  if (!admit_block(body, record_count, predicate, m, res)) return;
-  exec::RecordBatch batch;
-  const auto status =
-      decode_columnar_batch(body, scratch.columns, predicate, batch, record_count);
-  if (!note_decode(status, predicate, m, res) || batch.empty()) return;
+  if (batch.empty()) return;
   const auto delivered = static_cast<std::uint64_t>(batch.delivered_rows());
   res.records_delivered += delivered;
   m.scan_records->add(delivered);
@@ -696,47 +659,23 @@ void DataLake::scan_block_batches(std::span<const std::byte> body, std::uint32_t
   fn(batch);
 }
 
-namespace {
-
-/// The shared day-walk skeleton of the row and batch scans: index the day,
-/// visit every CRC-valid block, fold the damaged-range and baseline status.
-/// `visit(block, body, res)` does the per-block work.
-template <typename Visit>
-ScanResult scan_day_walk(const DataLake& lake, core::CivilDate day, Visit&& visit) {
+ScanResult DataLake::scan_day_batches_impl(core::CivilDate day, const ScanPredicate* predicate,
+                                           BatchSink fn) const {
   ScanResult res;
-  const DayBlockIndex idx = lake.load_day_blocks(day);
+  const DayBlockIndex idx = load_day_blocks(day);
   if (idx.fatal() != core::Errc::kOk) {
     res.errc = idx.fatal();
     return res;
   }
-  for (const auto& b : idx.blocks()) visit(b, idx.body(b), res);
+  ScanScratch scratch;
+  for (const auto& b : idx.blocks()) {
+    scan_block_batches(idx.body(b), b.record_count, predicate, scratch, res, fn);
+  }
   res.blocks_skipped += idx.damaged_ranges();
   if (res.errc == core::Errc::kOk || idx.baseline() == core::Errc::kCorrupt) {
     res.errc = idx.baseline();
   }
   return res;
-}
-
-}  // namespace
-
-ScanResult DataLake::scan_day_impl(core::CivilDate day, const ScanPredicate* predicate,
-                                   RowSink fn) const {
-  ScanScratch scratch;
-  const auto visit = [&](const DayBlockIndex::Block& b, std::span<const std::byte> body,
-                         ScanResult& res) {
-    scan_block(body, b.record_count, predicate, scratch, res, fn);
-  };
-  return scan_day_walk(*this, day, visit);
-}
-
-ScanResult DataLake::scan_day_batches_impl(core::CivilDate day, const ScanPredicate* predicate,
-                                           BatchSink fn) const {
-  ScanScratch scratch;
-  const auto visit = [&](const DayBlockIndex::Block& b, std::span<const std::byte> body,
-                         ScanResult& res) {
-    scan_block_batches(body, b.record_count, predicate, scratch, res, fn);
-  };
-  return scan_day_walk(*this, day, visit);
 }
 
 std::vector<flow::FlowRecord> DataLake::read_day(core::CivilDate day) const {
@@ -747,7 +686,10 @@ std::vector<flow::FlowRecord> DataLake::read_day(core::CivilDate day) const {
 std::vector<flow::FlowRecord> DataLake::read_day(core::CivilDate day,
                                                  ScanResult& status) const {
   std::vector<flow::FlowRecord> out;
-  status = scan_day(day, [&out](const flow::FlowRecord& r) { out.push_back(r); });
+  flow::FlowRecord rec;
+  const auto push = [&out](const flow::FlowRecord& r) { out.push_back(r); };
+  const auto replay = [&](const exec::RecordBatch& b) { exec::materialize_rows(b, rec, push); };
+  status = scan_day_batches(day, replay);
   return out;
 }
 
@@ -934,17 +876,6 @@ std::uint64_t DataLake::file_bytes(core::CivilDate day) const {
 
 FileIdentity DataLake::day_identity(core::CivilDate day) const {
   return file_identity(day_path(day));
-}
-
-ScanResult DataLake::export_csv(core::CivilDate day, const std::filesystem::path& out) const {
-  std::ofstream csv(out);
-  if (!csv) {
-    ScanResult res;
-    res.errc = core::Errc::kIoError;
-    return res;
-  }
-  csv << csv_header() << '\n';
-  return scan_day(day, [&](const flow::FlowRecord& r) { csv << r.to_csv_row() << '\n'; });
 }
 
 }  // namespace edgewatch::storage

@@ -199,47 +199,22 @@ class DataLake {
   core::Result<std::uint64_t> append(core::CivilDate day,
                                      std::span<const flow::FlowRecord> records);
 
-  /// Per-record and per-batch scan sinks. Both are non-owning
-  /// core::FunctionRef views: one calling convention for every scan entry
-  /// point, no per-scan std::function allocation. A batch sink must consume
-  /// (or copy from) the RecordBatch inside the call — it views the scan's
-  /// scratch and is overwritten by the next block.
-  using RowSink = core::FunctionRef<void(const flow::FlowRecord&)>;
+  /// Batch scan sink: a non-owning core::FunctionRef view, so no scan pays
+  /// a std::function allocation. The sink must consume (or copy from) the
+  /// RecordBatch inside the call — it views the scan's scratch and is
+  /// overwritten by the next block.
   using BatchSink = core::FunctionRef<void(const exec::RecordBatch&)>;
 
-  /// Stream every recoverable record of a day. Damaged blocks are skipped
-  /// (the reader resynchronizes on block sequence numbers) and reported. No
-  /// record from a block that failed its checksum is ever delivered.
+  /// Stream every recoverable record of a day as batches — the one scan
+  /// path: one RecordBatch per surviving block, filled straight from the
+  /// decode scratch. Dictionary codes pass through without materializing a
+  /// single string. Damaged blocks are skipped (the reader resynchronizes
+  /// on block sequence numbers) and reported; no record from a block that
+  /// failed its checksum is ever delivered.
   ///
-  /// Templated only to bind the callable to a RowSink through a named
+  /// Templated only to bind the callable to a BatchSink through a named
   /// lvalue (FunctionRef rejects temporaries by design); dispatch is
-  /// non-virtual, the body is the out-of-line scan_day_impl. This is the
-  /// row shim over the batch path: blocks decode as batches and replay
-  /// through exec::materialize_rows.
-  template <typename Fn,
-            typename = std::enable_if_t<std::is_invocable_v<Fn&, const flow::FlowRecord&>>>
-  ScanResult scan_day(core::CivilDate day, Fn&& fn) const {
-    RowSink sink{fn};
-    return scan_day_impl(day, nullptr, sink);
-  }
-
-  /// Selective scan with predicate pushdown: blocks whose zone map cannot
-  /// match are skipped without decompressing anything (counted in
-  /// ScanResult::blocks_pruned); surviving blocks decode only the column
-  /// segments the filter and the callback need.
-  template <typename Fn,
-            typename = std::enable_if_t<std::is_invocable_v<Fn&, const flow::FlowRecord&>>>
-  ScanResult scan_day(core::CivilDate day, const ScanPredicate& predicate, Fn&& fn) const {
-    RowSink sink{fn};
-    return scan_day_impl(day, &predicate, sink);
-  }
-
-  /// Native batch delivery — the primary scan path: one RecordBatch per
-  /// surviving block, filled straight from the decode scratch. Dictionary
-  /// codes pass through without materializing a single string. Same
-  /// pruning/skip accounting and damage semantics as the row scan; a
-  /// filtered batch carries its selection vector instead of re-copying the
-  /// surviving rows.
+  /// non-virtual, the body is the out-of-line scan_day_batches_impl.
   template <typename Fn,
             typename = std::enable_if_t<std::is_invocable_v<Fn&, const exec::RecordBatch&>>>
   ScanResult scan_day_batches(core::CivilDate day, Fn&& fn) const {
@@ -247,6 +222,11 @@ class DataLake {
     return scan_day_batches_impl(day, nullptr, sink);
   }
 
+  /// Selective scan with predicate pushdown: blocks whose zone map cannot
+  /// match are skipped without decompressing anything (counted in
+  /// ScanResult::blocks_pruned); surviving blocks decode only the column
+  /// segments the filter and the projection need, and a filtered batch
+  /// carries its selection vector instead of re-copying the surviving rows.
   template <typename Fn,
             typename = std::enable_if_t<std::is_invocable_v<Fn&, const exec::RecordBatch&>>>
   ScanResult scan_day_batches(core::CivilDate day, const ScanPredicate& predicate,
@@ -256,33 +236,27 @@ class DataLake {
   }
 
   /// Load the raw bytes and validated block index of one day for
-  /// random-access (parallel) decoding. scan_day is this plus a serial
-  /// walk over the blocks.
+  /// random-access (parallel) decoding. scan_day_batches is this plus a
+  /// serial walk over the blocks.
   [[nodiscard]] DayBlockIndex load_day_blocks(core::CivilDate day) const;
 
-  /// Scan one indexed block body with optional predicate pushdown,
-  /// folding delivery/skip/prune accounting into `res`. The workhorse
-  /// behind scan_day. A body that is not a well-formed columnar block is
+  /// Scan one indexed block body with optional predicate pushdown, folding
+  /// delivery/skip/prune accounting into `res`: the block's surviving rows
+  /// are delivered as one RecordBatch viewing the decode scratch directly —
+  /// the workhorse behind scan_day_batches and the parallel day
+  /// aggregators. A body that is not a well-formed columnar block is
   /// counted as skipped and corrupt; blocks decode atomically, so a damaged
   /// one delivers nothing. `record_count` is the frame header's count
   /// (cross-checked against the zone map; pass kAnyRecordCount when
   /// unknown). Every block decodes from its own bytes, so blocks may be
-  /// scanned in any order.
-  static void scan_block(std::span<const std::byte> body, std::uint32_t record_count,
-                         const ScanPredicate* predicate, ScanScratch& scratch, ScanResult& res,
-                         core::FunctionRef<void(const flow::FlowRecord&)> fn);
-
-  /// Batch counterpart of scan_block: the block's surviving rows are
-  /// delivered as one RecordBatch viewing the decode scratch directly — the
-  /// workhorse behind scan_day_batches and the parallel day aggregators.
-  /// Accounting is identical to scan_block (prune/skip/zone-lie handling,
-  /// delivered-row counts). An empty post-filter block invokes no sink
-  /// call.
+  /// scanned in any order. An empty post-filter block invokes no sink call.
   static void scan_block_batches(std::span<const std::byte> body, std::uint32_t record_count,
                                  const ScanPredicate* predicate, ScanScratch& scratch,
                                  ScanResult& res, BatchSink fn);
 
-  /// Convenience: materialize a day (recoverable records only).
+  /// Convenience: materialize a day (recoverable records only) — the one
+  /// row-shaped read, scan_day_batches replayed through
+  /// exec::materialize_rows.
   [[nodiscard]] std::vector<flow::FlowRecord> read_day(core::CivilDate day) const;
   /// As above, but also report how the scan went.
   [[nodiscard]] std::vector<flow::FlowRecord> read_day(core::CivilDate day,
@@ -322,9 +296,6 @@ class DataLake {
   [[nodiscard]] FileIdentity day_identity(core::CivilDate day) const;
   [[nodiscard]] const std::filesystem::path& root() const noexcept { return root_; }
 
-  /// Export one day as CSV (interop path). records_delivered == rows.
-  ScanResult export_csv(core::CivilDate day, const std::filesystem::path& out) const;
-
   [[nodiscard]] static std::string day_filename(core::CivilDate day);
 
   /// Where repair() moves damaged bytes; inspect after a non-clean fsck.
@@ -336,40 +307,18 @@ class DataLake {
     file_factory_ = factory ? std::move(factory) : FileFactory{make_posix_file};
   }
 
-  /// Catalog the writer uses to materialize per-record service ids
-  /// (zone maps + service column). nullptr = ServiceCatalog::standard().
-  void set_write_catalog(const services::ServiceCatalog* catalog) noexcept {
-    write_catalog_ = catalog;
-  }
-
   /// Pipeline the block encode over `pool`: an append hands each full block
   /// (serialize → columnar transpose → per-segment compress) to the pool
   /// and commits the frames in order, so the sealed file is byte-identical
   /// to the serial writer's — only the ingest thread's wall time changes.
-  /// `max_inflight` bounds the encoded-but-uncommitted blocks (0 = twice
-  /// the pool size); each in-flight block owns one EncodeScratch slot, so
-  /// the bound is also the steady-state memory ceiling. nullptr restores
-  /// the serial encoder. The pool must outlive the lake (or a trailing
+  /// At most twice the pool size blocks are encoded but uncommitted at
+  /// once; each in-flight block owns one EncodeScratch slot, so the window
+  /// is also the steady-state memory ceiling. nullptr restores the serial
+  /// encoder. The pool must outlive the lake (or a trailing
   /// set_encode_pool(nullptr)); appends themselves stay single-caller —
   /// the pipeline parallelizes one append internally, it does not make
   /// append() reentrant.
-  void set_encode_pool(core::ThreadPool* pool, std::size_t max_inflight = 0) noexcept {
-    encode_pool_ = pool;
-    encode_max_inflight_ = max_inflight;
-  }
-
-  /// Cache each day's append cursor (resume offset, next sequence number,
-  /// cumulative record count) keyed by the file's stat identity, replacing
-  /// the whole-file read-and-reparse that otherwise precedes every append
-  /// — O(appends · file size) for a day written in many batches. The cache
-  /// is validated against size+mtime before use and dropped on any failed
-  /// or out-of-band mutation (truncate, remove, repair), so an
-  /// externally modified file simply falls back to the full parse. On by
-  /// default; disable to force the seed behaviour.
-  void set_append_cursor_cache(bool enabled) {
-    append_cursor_cache_ = enabled;
-    if (!enabled) append_cursors_.clear();
-  }
+  void set_encode_pool(core::ThreadPool* pool) noexcept { encode_pool_ = pool; }
 
   /// Records per compressed block.
   static constexpr std::size_t kBlockRecords = 4096;
@@ -384,8 +333,13 @@ class DataLake {
     std::future<void> done;
   };
 
-  /// Cached resume point of one day file; valid only while the file still
-  /// stats to exactly {file_size, mtime_ns}.
+  /// Cached resume point of one day file (resume offset, next sequence
+  /// number, cumulative record count), replacing the whole-file
+  /// read-and-reparse that would otherwise precede every append —
+  /// O(appends · file size) for a day written in many batches. Valid only
+  /// while the file still stats to exactly {file_size, mtime_ns}; dropped on
+  /// any failed or out-of-band mutation (truncate, remove, repair), so an
+  /// externally modified file simply falls back to the full parse.
   struct AppendCursor {
     std::uint64_t file_size = 0;
     std::int64_t mtime_ns = 0;
@@ -397,11 +351,8 @@ class DataLake {
   /// append() minus the observability envelope (span + outcome counters).
   core::Result<std::uint64_t> append_impl(core::CivilDate day,
                                           std::span<const flow::FlowRecord> records);
-  ScanResult scan_day_impl(core::CivilDate day, const ScanPredicate* predicate,
-                           RowSink fn) const;
   ScanResult scan_day_batches_impl(core::CivilDate day, const ScanPredicate* predicate,
                                    BatchSink fn) const;
-  [[nodiscard]] const services::ServiceCatalog& effective_catalog() const noexcept;
   /// Chunk `records` into columnar block frames plus a trailing seal,
   /// appending to `out`; blocks go through the encode pipeline when one is
   /// configured.
@@ -410,11 +361,8 @@ class DataLake {
 
   std::filesystem::path root_;
   FileFactory file_factory_;
-  const services::ServiceCatalog* write_catalog_ = nullptr;
   core::ThreadPool* encode_pool_ = nullptr;
-  std::size_t encode_max_inflight_ = 0;
   std::vector<EncodeSlot> encode_slots_;
-  bool append_cursor_cache_ = true;
   std::map<core::CivilDate, AppendCursor> append_cursors_;
 };
 

@@ -20,6 +20,7 @@
 #include "storage/columnar.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
+#include "lake_rows.hpp"
 #include "temp_dir.hpp"
 
 namespace ew = edgewatch;
@@ -140,9 +141,7 @@ TEST(ColumnarGolden, PushdownDeliversExactlyThePostFilterSet) {
   ASSERT_FALSE(oracle.empty());
   ASSERT_LT(oracle.size(), records.size());
 
-  std::vector<FlowRecord> got;
-  auto sink = [&](const FlowRecord& r) { got.push_back(r); };
-  const auto scan = stored.lake.scan_day(day, pred, sink);
+  const auto [got, scan] = scan_rows(stored.lake, day, &pred);
   EXPECT_TRUE(scan.ok());
   EXPECT_EQ(encode_stream(got), encode_stream(oracle));
 
@@ -167,7 +166,7 @@ TEST(ColumnarGolden, ParallelPredicateScanMatchesSerial) {
   ew::storage::ScanScratch scratch;
   const auto serial = ew::analytics::aggregate_day(lake, day, scratch, &pred);
   ThreadPool pool(4);
-  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool, pred);
+  const auto parallel = ew::analytics::aggregate_day_parallel(lake, day, pool, &pred);
 
   EXPECT_EQ(parallel.scan.records_delivered, serial.scan.records_delivered);
   EXPECT_EQ(parallel.scan.blocks_pruned, serial.scan.blocks_pruned);

@@ -1,8 +1,8 @@
-// The batch execution core's golden identities: every consumer that moved
-// from the row callback to RecordBatch must be *indistinguishable* from the
-// row path — same aggregates bit for bit (fp accumulation order included),
-// same rollup bytes, same delivery counts on damaged days — and both must
-// equal what the in-memory records the lake was written from produce.
+// The batch execution core's golden identities: every batch consumer must
+// be *indistinguishable* from feeding the same rows one by one — same
+// aggregates bit for bit (fp accumulation order included), same rollup
+// bytes, same delivery counts on damaged days — and both must equal what
+// the in-memory records the lake was written from produce.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,9 +16,9 @@
 #include "exec/record_batch.hpp"
 #include "query/rollup.hpp"
 #include "storage/columnar.hpp"
-#include "storage/daily_writer.hpp"
 #include "storage/datalake.hpp"
 #include "synth/generator.hpp"
+#include "lake_rows.hpp"
 #include "temp_dir.hpp"
 
 namespace ew = edgewatch;
@@ -107,14 +107,16 @@ void expect_aggregates_equal(const ew::analytics::DayAggregate& a,
   EXPECT_EQ(a.unclassified_domain_bytes, b.unclassified_domain_bytes);
 }
 
-/// The row-path oracle: same lake, same projection, but every record goes
-/// through DayAggregator::add via the row-callback shim.
+/// The row oracle: same lake, same projection, but the batches are replayed
+/// as rows (exec::materialize_rows) and every row goes through
+/// DayAggregator::add.
 ew::analytics::DayAggregate row_oracle(const ew::storage::DataLake& lake, CivilDate day,
                                        ew::storage::ScanResult* scan_out = nullptr) {
   ew::analytics::DayAggregator agg(day);
   const auto pred =
       ew::storage::ScanPredicate::project(ew::analytics::kDayAggregateScanFields);
-  const auto scan = lake.scan_day(day, pred, [&](const FlowRecord& r) { agg.add(r); });
+  const auto [rows, scan] = scan_rows(lake, day, &pred);
+  for (const auto& r : rows) agg.add(r);
   if (scan_out != nullptr) *scan_out = scan;
   return std::move(agg).take();
 }
@@ -171,8 +173,7 @@ TEST(ExecBatch, ProjectionPassesDictCodesThrough) {
       ew::storage::ScanPredicate::project(ew::exec::scan_fields::kDayAggregate);
 
   std::vector<std::string> row_names;
-  (void)lake.scan_day(day, pred,
-                      [&](const FlowRecord& r) { row_names.push_back(r.server_name); });
+  for (const auto& r : scan_rows(lake, day, &pred).rows) row_names.push_back(r.server_name);
 
   std::vector<std::string> batch_names;
   std::size_t batches = 0, dict_entries = 0;
@@ -247,38 +248,51 @@ TEST(ExecBatch, TornDayDeliversSamePrefixOnBothPaths) {
   expect_aggregates_equal(want, got.aggregate);
 }
 
-// The writer's one-entry MRU day cache is pure mechanism: interleaved days,
-// mid-streak flushes (which erase the cached bucket), and retries must all
-// land every record in its own day.
-TEST(ExecWriter, MruDayCacheIsTransparentAcrossInterleavedDays) {
-  const CivilDate days[] = {{2016, 9, 1}, {2016, 9, 2}, {2016, 9, 3}};
+// Batch consumers classify once per dictionary entry
+// (ServiceCatalog::classify_names) and once per row (with_l7). That split
+// must agree with classify_flow on every row of a stored day — P2P rows
+// (whose hostname must lose to the L7 verdict) and nameless rows included —
+// and with the batch's own service column, which the writer filled through
+// classify_flow with the same standard catalog.
+TEST(ExecBatch, DictionaryClassificationMatchesClassifyFlow) {
+  const CivilDate day{2016, 8, 3};
+  auto records = paper_day(day);
+  ASSERT_GT(records.size(), 100u);
+  // Make sure both edge cases are present whatever the generator drew: a
+  // named P2P flow and a nameless non-P2P one.
+  records[0].l7 = ew::dpi::L7Protocol::kBittorrent;
+  records[0].server_name = "www.youtube.com";
+  records[1].l7 = ew::dpi::L7Protocol::kUnknown;
+  records[1].server_name.clear();
   TempDir dir;
   ew::storage::DataLake lake(dir.path);
-  ew::storage::DailyLakeWriter writer(lake, /*buffer_records=*/64);
+  ASSERT_TRUE(lake.append(day, records).has_value());
 
-  std::size_t per_day[3] = {0, 0, 0};
-  // Long same-day streaks with day switches, crossing the flush threshold
-  // mid-streak so the MRU bucket is erased underneath a continuing streak.
-  for (std::size_t round = 0; round < 5; ++round) {
-    for (std::size_t d = 0; d < 3; ++d) {
-      for (std::size_t i = 0; i < 100; ++i) {
-        FlowRecord r;
-        r.first_packet = ew::core::Timestamp::from_date_time(days[d], 12, 0, 0);
-        r.last_packet = r.first_packet + 1'000'000;
-        r.client_ip = ew::core::IPv4Address{static_cast<std::uint32_t>(round * 1000 + i)};
-        r.up.bytes = round + 1;
-        writer.add(std::move(r));
-        ++per_day[d];
-      }
-    }
-  }
-  ASSERT_TRUE(writer.flush_all());
-  EXPECT_EQ(writer.buffered(), 0u);
-  EXPECT_EQ(writer.records_written(), per_day[0] + per_day[1] + per_day[2]);
-  for (std::size_t d = 0; d < 3; ++d) {
-    const auto got = lake.read_day(days[d]);
-    EXPECT_EQ(got.size(), per_day[d]) << "day " << d;
-    for (const auto& r : got) EXPECT_EQ(r.first_packet.date(), days[d]);
-    EXPECT_TRUE(lake.fsck_day(days[d]).healthy());
-  }
+  const auto& catalog = ew::services::ServiceCatalog::standard();
+  std::vector<ew::services::ServiceId> verdicts;
+  std::size_t rows = 0, p2p_rows = 0, nameless_rows = 0;
+  ew::flow::FlowRecord rec;
+  const auto scan = lake.scan_day_batches(day, [&](const ew::exec::RecordBatch& b) {
+    catalog.classify_names(b.name_dict, verdicts);
+    ASSERT_EQ(verdicts.size(), b.name_dict.size());
+    std::vector<ew::services::ServiceId> split;
+    b.for_each_row([&](std::size_t i) {
+      split.push_back(ew::services::ServiceCatalog::with_l7(
+          static_cast<ew::dpi::L7Protocol>(b.l7[i]), verdicts[b.name_idx[i]]));
+      EXPECT_EQ(static_cast<std::uint8_t>(split.back()), b.service[i]) << "row " << i;
+    });
+    std::size_t k = 0;
+    const auto check = [&](const FlowRecord& r) {
+      EXPECT_EQ(split[k], catalog.classify_flow(r.l7, r.server_name)) << "row " << k;
+      p2p_rows += ew::dpi::is_p2p(r.l7) ? 1 : 0;
+      nameless_rows += r.server_name.empty() ? 1 : 0;
+      ++k;
+      ++rows;
+    };
+    ew::exec::materialize_rows(b, rec, check);
+  });
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(rows, records.size());
+  EXPECT_GT(p2p_rows, 0u);
+  EXPECT_GT(nameless_rows, 0u);
 }

@@ -186,20 +186,24 @@ TEST(Fuzz, DecompressorRejectsHugeDeclaredSizes) {
        {std::uint32_t{0xffffffff}, std::uint32_t{(1u << 26) + 1}}) {
     std::vector<std::byte> bytes{std::byte{1}};
     for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::byte>((declared >> (8 * i)) & 0xff));
-    EXPECT_FALSE(ew::storage::decompress_block(bytes).has_value());
+    std::vector<std::byte> scratch;
+    EXPECT_FALSE(ew::storage::decompress_block_view(bytes, scratch).has_value());
+    EXPECT_LE(scratch.capacity(), std::size_t{64} * 1024);  // nothing reserved past the cap
   }
   // Declared size smaller than what the tokens produce: must fail, not
   // overshoot. Token 0x20 = 2 literals, but the header promises 1.
   const std::byte lying[] = {std::byte{1}, std::byte{1}, std::byte{0}, std::byte{0},
                              std::byte{0}, std::byte{0x20}, std::byte{'a'}, std::byte{'b'}};
-  EXPECT_FALSE(ew::storage::decompress_block(lying).has_value());
+  std::vector<std::byte> scratch;
+  EXPECT_FALSE(ew::storage::decompress_block_view(lying, scratch).has_value());
 }
 
 TEST(Fuzz, DecompressorNeverCrashes) {
   ew::core::Xoshiro256 rng{0x12f};
+  std::vector<std::byte> scratch;
   for (int i = 0; i < 10'000; ++i) {
     const auto bytes = i % 2 == 0 ? seeded_bytes(rng, 200, {1}) : random_bytes(rng, 200);
-    const auto out = ew::storage::decompress_block(bytes);
+    const auto out = ew::storage::decompress_block_view(bytes, scratch);
     if (out) {
       // If it decoded, the declared size matched.
       EXPECT_LE(out->size(), 1u << 26);
@@ -347,13 +351,12 @@ TEST(Fuzz, MutatedColumnarBodiesNeverCrashOrLeakPartialBlocks) {
       }
       if (i % 4 == 2) mut.resize(ew::core::uniform_below(rng, mut.size() + 1));
     }
-    std::uint64_t delivered = 0;
-    auto sink = [](const ew::flow::FlowRecord&) {};
-    const auto status = ew::storage::decode_columnar_block(
-        mut, scratch, i % 2 ? &pred : nullptr, delivered, sink,
+    ew::exec::RecordBatch batch;
+    const auto status = ew::storage::decode_columnar_batch(
+        mut, scratch, i % 2 ? &pred : nullptr, batch,
         i % 3 ? ew::storage::kAnyRecordCount : static_cast<std::uint32_t>(records.size()));
     if (status == ew::storage::BlockDecodeStatus::kCorrupt) {
-      EXPECT_EQ(delivered, 0u) << "iteration " << i;
+      EXPECT_TRUE(batch.empty()) << "iteration " << i;
     }
   }
 }

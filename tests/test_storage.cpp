@@ -1,17 +1,19 @@
 // Codec round-trips, compressor properties, and data-lake behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include "core/hash.hpp"
 #include "core/rng.hpp"
 #include "storage/codec.hpp"
 #include "storage/columnar.hpp"
 #include "storage/compress.hpp"
-#include "storage/daily_writer.hpp"
 #include "storage/datalake.hpp"
 #include "storage/fault_injection.hpp"
+#include "lake_rows.hpp"
 #include "temp_dir.hpp"
 
 namespace ew = edgewatch;
@@ -236,14 +238,35 @@ INSTANTIATE_TEST_SUITE_P(VolumeSweep, CodecExtremes,
 
 // -------------------------------------------------------------- compressor
 
+namespace {
+
+/// The byte-stream envelope pair the lake uses: compress_block_lazy_append
+/// on the way in, decompress_block_view on the way out.
+std::vector<std::byte> compress(std::span<const std::byte> input) {
+  std::vector<std::byte> out;
+  ew::storage::CompressScratch scratch;
+  ew::storage::compress_block_lazy_append(input, out, scratch);
+  return out;
+}
+
+std::optional<std::vector<std::byte>> decompress(std::span<const std::byte> envelope) {
+  std::vector<std::byte> scratch;
+  const auto view = ew::storage::decompress_block_view(envelope, scratch);
+  if (!view) return std::nullopt;
+  return std::vector<std::byte>(view->begin(), view->end());
+}
+
+}  // namespace
+
 TEST(Compress, RoundTripStructuredData) {
   // Concatenated records: realistic, compressible input.
   ByteWriter w;
   for (std::uint64_t i = 0; i < 500; ++i) ew::storage::encode_record(sample_record(i % 10), w);
   const std::vector<std::byte> input{w.view().begin(), w.view().end()};
-  const auto compressed = ew::storage::compress_block(input);
+  const auto compressed = compress(input);
+  EXPECT_EQ(std::to_integer<std::uint8_t>(compressed[0]), ew::storage::kSchemeLz);
   EXPECT_LT(compressed.size(), input.size() / 2);  // long repeats compress well
-  const auto back = ew::storage::decompress_block(compressed);
+  const auto back = decompress(compressed);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, input);
 }
@@ -252,9 +275,9 @@ TEST(Compress, RoundTripRandomData) {
   ew::core::Xoshiro256 rng{77};
   std::vector<std::byte> input;
   for (int i = 0; i < 10000; ++i) input.push_back(static_cast<std::byte>(rng() & 0xff));
-  const auto compressed = ew::storage::compress_block(input);
+  const auto compressed = compress(input);
   EXPECT_LE(compressed.size(), input.size() + 5);  // stored fallback bound
-  const auto back = ew::storage::decompress_block(compressed);
+  const auto back = decompress(compressed);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, input);
 }
@@ -264,7 +287,7 @@ TEST(Compress, RoundTripEdgeCases) {
        {std::string{}, std::string{"x"}, std::string{"abcd"}, std::string(100000, 'a'),
         std::string{"abcabcabcabcabcabc"}}) {
     const auto input = ew::core::to_bytes(s);
-    const auto back = ew::storage::decompress_block(ew::storage::compress_block(input));
+    const auto back = decompress(compress(input));
     ASSERT_TRUE(back.has_value()) << s.size();
     EXPECT_EQ(*back, input) << s.size();
   }
@@ -280,26 +303,54 @@ TEST(Compress, RandomInputsPropertyRoundTrip) {
       input.push_back(static_cast<std::byte>(
           ew::core::chance(rng, 0.7) ? 0xAB : static_cast<std::uint8_t>(rng() & 0xff)));
     }
-    const auto back = ew::storage::decompress_block(ew::storage::compress_block(input));
+    const auto back = decompress(compress(input));
     ASSERT_TRUE(back.has_value());
     ASSERT_EQ(*back, input);
   }
 }
 
+TEST(Compress, StoredEnvelopeDecodesZeroCopy) {
+  // Incompressible bytes take the stored envelope, and the view is the
+  // envelope's own payload — no copy, the scratch untouched. That is what
+  // lets the scan path decode stored column segments straight from the
+  // file bytes.
+  ew::core::Xoshiro256 rng{78};
+  std::vector<std::byte> input;
+  for (int i = 0; i < 4096; ++i) input.push_back(static_cast<std::byte>(rng() & 0xff));
+  const auto stored = compress(input);
+  ASSERT_EQ(std::to_integer<std::uint8_t>(stored[0]), ew::storage::kSchemeStored);
+  std::vector<std::byte> scratch;
+  const auto view = ew::storage::decompress_block_view(stored, scratch);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->data(), stored.data() + 5);
+  EXPECT_EQ(view->size(), input.size());
+  EXPECT_TRUE(std::equal(view->begin(), view->end(), input.begin(), input.end()));
+  EXPECT_TRUE(scratch.empty());
+
+  // An LZ envelope, by contrast, inflates into the scratch.
+  const std::vector<std::byte> runs(4096, std::byte{0x5A});
+  const auto lz = compress(runs);
+  ASSERT_EQ(std::to_integer<std::uint8_t>(lz[0]), ew::storage::kSchemeLz);
+  const auto inflated = ew::storage::decompress_block_view(lz, scratch);
+  ASSERT_TRUE(inflated.has_value());
+  EXPECT_EQ(inflated->data(), scratch.data());
+  EXPECT_TRUE(std::equal(inflated->begin(), inflated->end(), runs.begin(), runs.end()));
+}
+
 TEST(Compress, RejectsCorruptedHeaders) {
-  EXPECT_FALSE(ew::storage::decompress_block({}).has_value());
+  EXPECT_FALSE(decompress({}).has_value());
   const auto input = ew::core::to_bytes("hello world hello world hello world");
-  auto compressed = ew::storage::compress_block(input);
+  auto compressed = compress(input);
   compressed[0] = static_cast<std::byte>(9);  // bogus scheme
-  EXPECT_FALSE(ew::storage::decompress_block(compressed).has_value());
+  EXPECT_FALSE(decompress(compressed).has_value());
 }
 
 TEST(Compress, RejectsTruncatedBody) {
   std::vector<std::byte> input;
   for (int i = 0; i < 1000; ++i) input.push_back(static_cast<std::byte>(i % 7));
-  auto compressed = ew::storage::compress_block(input);
+  auto compressed = compress(input);
   compressed.resize(compressed.size() / 2);
-  EXPECT_FALSE(ew::storage::decompress_block(compressed).has_value());
+  EXPECT_FALSE(decompress(compressed).has_value());
 }
 
 // --------------------------------------------------------------- data lake
@@ -346,9 +397,9 @@ TEST(DataLake, DaysAreSortedAndDiscoverable) {
 TEST(DataLake, MissingDayScanReturnsFalse) {
   TempDir dir;
   ew::storage::DataLake lake{dir.path};
-  int count = 0;
-  EXPECT_FALSE(lake.scan_day({2015, 6, 1}, [&](const FlowRecord&) { ++count; }));
-  EXPECT_EQ(count, 0);
+  const auto missing = scan_rows(lake, {2015, 6, 1});
+  EXPECT_FALSE(missing.scan);
+  EXPECT_TRUE(missing.rows.empty());
 }
 
 TEST(DataLake, CorruptFileDetected) {
@@ -366,8 +417,7 @@ TEST(DataLake, CorruptFileDetected) {
   contents[contents.size() / 2] ^= 0x5A;
   contents[contents.size() / 2 + 1] ^= 0x5A;
   std::ofstream(path, std::ios::binary) << contents;
-  int count = 0;
-  EXPECT_FALSE(lake.scan_day(day, [&](const FlowRecord&) { ++count; }));
+  EXPECT_FALSE(scan_rows(lake, day).scan);
 }
 
 TEST(DataLake, CompressionShrinksTypicalLogs) {
@@ -382,63 +432,6 @@ TEST(DataLake, CompressionShrinksTypicalLogs) {
   EXPECT_LT(lake.file_bytes(day), raw.size());
 }
 
-TEST(DailyLakeWriter, RoutesRecordsToTheirDays) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  {
-    ew::storage::DailyLakeWriter writer{lake, 4};
-    for (int d = 0; d < 3; ++d) {
-      for (int i = 0; i < 5; ++i) {
-        auto r = sample_record(static_cast<std::uint64_t>(d * 10 + i));
-        r.first_packet =
-            ew::core::Timestamp::from_date_time({2016, 5, static_cast<std::uint8_t>(4 + d)}, 10);
-        r.last_packet = r.first_packet + 1'000'000;
-        writer.add(std::move(r));
-      }
-    }
-    EXPECT_GT(writer.records_written(), 0u);  // 4-record buffers already flushed
-  }  // destructor flushes the rest
-  EXPECT_EQ(lake.read_day({2016, 5, 4}).size(), 5u);
-  EXPECT_EQ(lake.read_day({2016, 5, 5}).size(), 5u);
-  EXPECT_EQ(lake.read_day({2016, 5, 6}).size(), 5u);
-  EXPECT_EQ(lake.days().size(), 3u);
-}
-
-TEST(DailyLakeWriter, MidnightRollover) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  ew::storage::DailyLakeWriter writer{lake};
-  // A flow starting at 23:59:59 belongs to its start day even if it ends
-  // the next day.
-  auto r = sample_record(1);
-  r.first_packet = ew::core::Timestamp::from_date_time({2016, 5, 4}, 23, 59, 59);
-  r.last_packet = r.first_packet + 10'000'000;  // crosses midnight
-  writer.add(std::move(r));
-  writer.finish();
-  EXPECT_EQ(lake.read_day({2016, 5, 4}).size(), 1u);
-  EXPECT_FALSE(lake.has_day({2016, 5, 5}));
-}
-
-TEST(DataLake, CsvExportWritesHeaderAndRows) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const CivilDate day{2017, 7, 7};
-  std::vector<FlowRecord> records{sample_record(1), sample_record(2), sample_record(3)};
-  lake.append(day, records);
-  const auto csv_path = dir.path / "out.csv";
-  const auto exported = lake.export_csv(day, csv_path);
-  EXPECT_TRUE(exported.ok());
-  EXPECT_EQ(exported.records_delivered, 3u);
-  std::ifstream in(csv_path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, ew::storage::csv_header());
-  int rows = 0;
-  std::string line;
-  while (std::getline(in, line)) ++rows;
-  EXPECT_EQ(rows, 3);
-}
-
 // ------------------------------------------------------------ durability
 
 TEST(DataLakeV2, CleanDayIsSealedAndHealthy) {
@@ -448,7 +441,7 @@ TEST(DataLakeV2, CleanDayIsSealedAndHealthy) {
   const auto records = sample_batch(1, 5000);  // > kBlockRecords: multi-block
   ASSERT_TRUE(lake.append(day, records).has_value());
 
-  const auto scan = lake.scan_day(day, [](const FlowRecord&) {});
+  const auto scan = scan_rows(lake, day).scan;
   EXPECT_TRUE(scan.ok());
   EXPECT_EQ(scan.records_delivered, records.size());
   EXPECT_EQ(scan.blocks_skipped, 0u);
@@ -476,7 +469,7 @@ TEST(DataLakeV2, FsckReportsMissingDay) {
   TempDir dir;
   ew::storage::DataLake lake{dir.path};
   EXPECT_EQ(lake.fsck_day({2016, 3, 5}).errc, ew::core::Errc::kNotFound);
-  EXPECT_EQ(lake.scan_day({2016, 3, 5}, [](const FlowRecord&) {}).errc,
+  EXPECT_EQ(scan_rows(lake, {2016, 3, 5}).scan.errc,
             ew::core::Errc::kNotFound);
 }
 
@@ -713,7 +706,7 @@ TEST(DataLake, ForeignFileIsRejectedNotParsed) {
   ew::storage::DataLake lake{dir.path};
   const CivilDate day{2015, 9, 9};
   spew(dir.path / ew::storage::DataLake::day_filename(day), "not a lake file at all");
-  EXPECT_EQ(lake.scan_day(day, [](const FlowRecord&) {}).errc, ew::core::Errc::kBadMagic);
+  EXPECT_EQ(scan_rows(lake, day).scan.errc, ew::core::Errc::kBadMagic);
   EXPECT_EQ(lake.fsck_day(day).errc, ew::core::Errc::kBadMagic);
   EXPECT_FALSE(lake.append(day, sample_batch(1, 5)).has_value());
 }
@@ -792,7 +785,10 @@ TEST(DataLake, NonColumnarBlockIsSkippedAndQuarantined) {
   {
     ByteWriter stream;
     for (const auto& r : row) ew::storage::encode_record(r, stream);
-    bad_bodies.emplace_back("row-format body", ew::storage::compress_block(stream.view()));
+    std::vector<std::byte> row_body;
+    ew::storage::CompressScratch compress_scratch;
+    ew::storage::compress_block_lazy_append(stream.view(), row_body, compress_scratch);
+    bad_bodies.emplace_back("row-format body", std::move(row_body));
     ByteWriter body;
     ew::storage::encode_columnar_block(row, catalog, body);
     std::vector<std::byte> wrong_layout(body.view().begin(), body.view().end());
@@ -848,66 +844,6 @@ TEST(DataLake, NonColumnarBlockIsSkippedAndQuarantined) {
     ASSERT_EQ(lake.read_day(day, status).size(), expected.size());
     EXPECT_TRUE(status.ok());
   }
-}
-
-// ------------------------------------------------- writer failure handling
-
-TEST(DailyLakeWriter, KeepsRecordsWhenAppendFailsAndRetries) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  // First file handle fails with ENOSPC almost immediately.
-  lake.set_file_factory(ew::storage::FaultyFile::factory_once(
-      {ew::storage::FaultKind::kNoSpace, /*at_byte=*/8, /*bit=*/0}));
-
-  ew::storage::DailyLakeWriter writer{lake, 4};
-  const auto day = CivilDate{2016, 5, 4};
-  for (int i = 0; i < 4; ++i) {
-    auto r = sample_record(static_cast<std::uint64_t>(i));
-    r.first_packet = ew::core::Timestamp::from_date_time(day, 10);
-    r.last_packet = r.first_packet + 1'000;
-    writer.add(std::move(r));  // 4th add triggers the failing flush
-  }
-  EXPECT_EQ(writer.append_failures(), 1u);
-  EXPECT_EQ(writer.last_error(), ew::core::Errc::kNoSpace);
-  EXPECT_EQ(writer.records_written(), 0u);
-  EXPECT_EQ(writer.buffered(), 4u);  // nothing lost
-
-  writer.finish();  // factory is healthy again: the retry lands everything
-  EXPECT_EQ(writer.records_written(), 4u);
-  EXPECT_EQ(writer.records_dropped(), 0u);
-  EXPECT_EQ(lake.read_day(day).size(), 4u);
-  EXPECT_TRUE(lake.fsck_day(day).healthy());
-}
-
-TEST(DailyLakeWriter, FlushAllReportsTypedErrorAndLakeStaysConsistent) {
-  TempDir dir;
-  ew::storage::DataLake lake{dir.path};
-  const auto day = CivilDate{2016, 5, 4};
-  ew::storage::DailyLakeWriter writer{lake, 64};
-  for (int i = 0; i < 10; ++i) {
-    auto r = sample_record(static_cast<std::uint64_t>(i));
-    r.first_packet = ew::core::Timestamp::from_date_time(day, 10);
-    r.last_packet = r.first_packet + 1'000;
-    writer.add(std::move(r));
-  }
-
-  // The volume fills up right as the flush starts.
-  lake.set_file_factory(ew::storage::FaultyFile::factory_once(
-      {ew::storage::FaultKind::kNoSpace, /*at_byte=*/0, /*bit=*/0}));
-  const auto result = writer.flush_all();
-  ASSERT_FALSE(result);
-  EXPECT_EQ(result.error(), ew::core::Errc::kNoSpace);
-  // The failed append rolled back completely: no partial day file, clean
-  // fsck, and every record still buffered for the retry.
-  EXPECT_FALSE(lake.has_day(day));
-  EXPECT_TRUE(lake.fsck().clean());
-  EXPECT_EQ(writer.buffered(), 10u);
-
-  // Space freed: the same call now lands the batch.
-  ASSERT_TRUE(writer.flush_all());
-  EXPECT_EQ(writer.buffered(), 0u);
-  EXPECT_EQ(lake.read_day(day).size(), 10u);
-  EXPECT_TRUE(lake.fsck_day(day).healthy());
 }
 
 // ----------------------------------------------------- columnar v3 lake
@@ -982,13 +918,9 @@ TEST(ColumnarV3, BodyRoundTripAndZonePeek) {
 
   ew::storage::ColumnScratch scratch;
   std::vector<FlowRecord> decoded;
-  std::uint64_t delivered = 0;
-  auto sink = [&](const FlowRecord& r) { decoded.push_back(r); };
-  const auto status = ew::storage::decode_columnar_block(
-      body.view(), scratch, nullptr, delivered, sink,
-      static_cast<std::uint32_t>(records.size()));
+  const auto status = decode_block_rows(body.view(), scratch, nullptr, decoded,
+                                        static_cast<std::uint32_t>(records.size()));
   EXPECT_EQ(status, ew::storage::BlockDecodeStatus::kOk);
-  EXPECT_EQ(delivered, records.size());
   ASSERT_EQ(decoded.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) expect_equal(decoded[i], records[i]);
 }
@@ -1001,14 +933,13 @@ TEST(ColumnarV3, TruncatedBodySweepDecodesAtomically) {
 
   ew::storage::ColumnScratch scratch;
   for (std::size_t len = 0; len < body.size(); ++len) {
-    std::uint64_t delivered = 0;
-    auto sink = [](const FlowRecord&) {};
-    const auto status = ew::storage::decode_columnar_block(body.view().subspan(0, len), scratch,
-                                                           nullptr, delivered, sink);
+    ew::exec::RecordBatch batch;
+    const auto status =
+        ew::storage::decode_columnar_batch(body.view().subspan(0, len), scratch, nullptr, batch);
     // A torn column segment must never crash and never deliver a partial
     // block: columnar decode is all-or-nothing.
     EXPECT_EQ(status, ew::storage::BlockDecodeStatus::kCorrupt) << "prefix length " << len;
-    EXPECT_EQ(delivered, 0u) << "prefix length " << len;
+    EXPECT_TRUE(batch.empty()) << "prefix length " << len;
   }
 }
 
@@ -1038,9 +969,7 @@ TEST(DataLakeV3, PredicatePushdownMatchesPostFilterAndPrunes) {
     ASSERT_FALSE(expected.empty());
     ASSERT_LT(expected.size(), records.size());
 
-    std::vector<FlowRecord> got;
-    auto sink = [&](const FlowRecord& r) { got.push_back(r); };
-    const auto scan = lake.scan_day(day, pred, sink);
+    const auto [got, scan] = scan_rows(lake, day, &pred);
     EXPECT_TRUE(scan.ok());
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) expect_equal(got[i], expected[i]);
@@ -1048,11 +977,9 @@ TEST(DataLakeV3, PredicatePushdownMatchesPostFilterAndPrunes) {
 
   // The netflix records live in one block only: the other two are pruned on
   // their zone maps without decompressing a single segment.
-  std::size_t n = 0;
-  auto count = [&](const FlowRecord&) { ++n; };
-  EXPECT_EQ(lake.scan_day(day, by_service, count).blocks_pruned, 2u);
+  EXPECT_EQ(scan_rows(lake, day, &by_service).scan.blocks_pruned, 2u);
   // An unrestricted scan prunes nothing.
-  EXPECT_EQ(lake.scan_day(day, [](const FlowRecord&) {}).blocks_pruned, 0u);
+  EXPECT_EQ(scan_rows(lake, day).scan.blocks_pruned, 0u);
 }
 
 TEST(DataLakeV3, LyingZoneMapIsDetectedDeliveredAndQuarantined) {
@@ -1070,21 +997,17 @@ TEST(DataLakeV3, LyingZoneMapIsDetectedDeliveredAndQuarantined) {
 
   // An unfiltered scan still delivers every record — zone maps are never
   // authoritative — but flags the day so the lie cannot linger.
-  std::vector<FlowRecord> got;
-  auto sink = [&](const FlowRecord& r) { got.push_back(r); };
-  const auto scan = lake.scan_day(day, sink);
+  const auto [got, scan] = scan_rows(lake, day);
   EXPECT_EQ(scan.errc, ew::core::Errc::kCorrupt);
   ASSERT_EQ(got.size(), records.size());
   for (std::size_t i = 0; i < got.size(); ++i) expect_equal(got[i], records[i]);
 
   // This is exactly the hazard: a selective scan that trusts the lying map
   // prunes the block and silently misses every record.
-  std::size_t n = 0;
-  auto count = [&](const FlowRecord&) { ++n; };
-  const auto filtered = lake.scan_day(
-      day, ew::storage::ScanPredicate::for_service(ew::services::ServiceId::kGoogle), count);
-  EXPECT_EQ(n, 0u);
-  EXPECT_EQ(filtered.blocks_pruned, 1u);
+  const auto google = ew::storage::ScanPredicate::for_service(ew::services::ServiceId::kGoogle);
+  const auto filtered = scan_rows(lake, day, &google);
+  EXPECT_TRUE(filtered.rows.empty());
+  EXPECT_EQ(filtered.scan.blocks_pruned, 1u);
 
   // Which is why fsck deep-verifies columnar blocks and repair quarantines
   // the liar instead of leaving it to poison future selective scans.
@@ -1109,11 +1032,9 @@ TEST(DataLakeV3, BadServiceDictionaryIsCorruptNotACrash) {
   const unsigned char bogus[1] = {0xEE};
   patch_first_body(path, 2 + 36 + 1, bogus);
 
-  std::size_t n = 0;
-  auto count = [&](const FlowRecord&) { ++n; };
-  const auto scan = lake.scan_day(day, count);
+  const auto [got, scan] = scan_rows(lake, day);
   EXPECT_EQ(scan.errc, ew::core::Errc::kCorrupt);
-  EXPECT_EQ(n, 0u);  // atomic: no half-decoded block leaks records
+  EXPECT_TRUE(got.empty());  // atomic: no half-decoded block leaks records
   EXPECT_GE(scan.blocks_skipped, 1u);
 
   const auto health = lake.fsck_day(day);
@@ -1203,8 +1124,8 @@ TEST(DataLakeV3, ProjectedScanMaterializesExactlyTheRequestedFields) {
   const auto records = varied_batch(41, 1200, day);
   ASSERT_TRUE(lake.append(day, records).has_value());
 
-  std::vector<FlowRecord> full;
-  ASSERT_TRUE(lake.scan_day(day, [&](const FlowRecord& r) { full.push_back(r); }).ok());
+  const auto [full, full_scan] = scan_rows(lake, day);
+  ASSERT_TRUE(full_scan.ok());
   ASSERT_EQ(full.size(), records.size());
 
   // One preset mask (compile-time-specialized emit loop), one arbitrary
@@ -1214,9 +1135,9 @@ TEST(DataLakeV3, ProjectedScanMaterializesExactlyTheRequestedFields) {
                                  sf::kUpBytes | sf::kRttSpread | sf::kContentType,
                                  sf::kServerName, 0u};
   for (const std::uint32_t mask : masks) {
-    std::vector<FlowRecord> got;
     const auto pred = ew::storage::ScanPredicate::project(mask);
-    ASSERT_TRUE(lake.scan_day(day, pred, [&](const FlowRecord& r) { got.push_back(r); }).ok());
+    const auto [got, scan] = scan_rows(lake, day, &pred);
+    ASSERT_TRUE(scan.ok());
     ASSERT_EQ(got.size(), full.size()) << "mask " << mask;
     for (std::size_t i = 0; i < got.size(); ++i) {
       expect_identical(got[i], project_oracle(full[i], mask));
@@ -1232,13 +1153,13 @@ TEST(DataLakeV3, ProjectionComposesWithRowFilters) {
   const auto records = varied_batch(42, 1200, day);
   ASSERT_TRUE(lake.append(day, records).has_value());
 
-  std::vector<FlowRecord> full;
-  ASSERT_TRUE(lake.scan_day(day, [&](const FlowRecord& r) { full.push_back(r); }).ok());
+  const auto [full, full_scan] = scan_rows(lake, day);
+  ASSERT_TRUE(full_scan.ok());
 
   auto pred = ew::storage::ScanPredicate::for_proto(ew::core::TransportProto::kUdp);
   pred.fields = sf::kUpBytes | sf::kDownBytes;
-  std::vector<FlowRecord> got;
-  ASSERT_TRUE(lake.scan_day(day, pred, [&](const FlowRecord& r) { got.push_back(r); }).ok());
+  const auto [got, scan] = scan_rows(lake, day, &pred);
+  ASSERT_TRUE(scan.ok());
 
   std::vector<FlowRecord> expected;
   for (const auto& r : full) {

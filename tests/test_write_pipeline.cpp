@@ -1,5 +1,5 @@
 // Write-path tests: the pipelined block encoder must be invisible in the
-// bytes (parallel ≡ serial, any worker count, any in-flight bound), the
+// bytes (parallel ≡ serial, any worker count), the
 // adaptive value-segment codec must round-trip against a scalar oracle and
 // reject every truncation, every block must decode from its own bytes
 // alone (so a damaged body costs exactly that block), and a kill
@@ -24,6 +24,7 @@
 #include "storage/compress.hpp"
 #include "storage/datalake.hpp"
 #include "storage/fault_injection.hpp"
+#include "lake_rows.hpp"
 #include "temp_dir.hpp"
 
 namespace ew = edgewatch;
@@ -238,19 +239,18 @@ TEST(WritePipeline, ParallelEncodeIsByteIdenticalToSerial) {
   ASSERT_GT(want.size(), 1000u);
   ASSERT_TRUE(golden.fsck_day(day).healthy());
 
+  // The in-flight window is twice the pool size, so 1, 2 and 4 workers
+  // wrap it inside the 10-block append and 8 workers never fill it.
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    for (const std::size_t max_inflight : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-      SCOPED_TRACE("workers=" + std::to_string(workers) +
-                   " inflight=" + std::to_string(max_inflight));
-      ThreadPool pool(workers);
-      const ew::test::TempDir dir{"ew_wpipe_par"};
-      ew::storage::DataLake lake(dir.path);
-      lake.set_encode_pool(&pool, max_inflight);
-      ASSERT_TRUE(lake.append(day, batch1).has_value());
-      ASSERT_TRUE(lake.append(day, batch2).has_value());
-      lake.set_encode_pool(nullptr);
-      EXPECT_EQ(day_bytes(lake, day), want);
-    }
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    const ew::test::TempDir dir{"ew_wpipe_par"};
+    ew::storage::DataLake lake(dir.path);
+    lake.set_encode_pool(&pool);
+    ASSERT_TRUE(lake.append(day, batch1).has_value());
+    ASSERT_TRUE(lake.append(day, batch2).has_value());
+    lake.set_encode_pool(nullptr);
+    EXPECT_EQ(day_bytes(lake, day), want);
   }
 
   if constexpr (ew::obs::kEnabled) {
@@ -270,14 +270,19 @@ TEST(WritePipeline, AppendCursorCacheIsTransparent) {
   const CivilDate day{2017, 4, 1};
   const ew::test::TempDir reference_dir{"ew_wpipe_cur_ref"};
   const ew::test::TempDir cached_dir{"ew_wpipe_cur_hot"};
+  // The reference appends through a fresh lake object every time: with no
+  // cursor to reuse, each append re-derives its resume point from a full
+  // parse of the file. The cached lake keeps its cursors across appends.
   ew::storage::DataLake reference(reference_dir.path);
-  reference.set_append_cursor_cache(false);  // seed behaviour: reparse every append
-  ew::storage::DataLake cached(cached_dir.path);  // default: cursor cache on
+  const auto reference_append = [&](std::span<const FlowRecord> records) {
+    return ew::storage::DataLake(reference_dir.path).append(day, records);
+  };
+  ew::storage::DataLake cached(cached_dir.path);
 
   for (std::size_t batch = 0; batch < 5; ++batch) {
     const auto records =
         make_records(day, ew::storage::DataLake::kBlockRecords + 100 * batch + 1);
-    ASSERT_TRUE(reference.append(day, records).has_value());
+    ASSERT_TRUE(reference_append(records).has_value());
     ASSERT_TRUE(cached.append(day, records).has_value());
     ASSERT_EQ(day_bytes(cached, day), day_bytes(reference, day)) << "batch " << batch;
   }
@@ -288,7 +293,7 @@ TEST(WritePipeline, AppendCursorCacheIsTransparent) {
   ASSERT_TRUE(reference.truncate_day(day, size / 2).has_value());
   ASSERT_TRUE(cached.truncate_day(day, size / 2).has_value());
   const auto more = make_records(day, 1234);
-  ASSERT_TRUE(reference.append(day, more).has_value());
+  ASSERT_TRUE(reference_append(more).has_value());
   ASSERT_TRUE(cached.append(day, more).has_value());
   EXPECT_EQ(day_bytes(cached, day), day_bytes(reference, day));
   EXPECT_TRUE(cached.fsck_day(day).healthy());
@@ -307,7 +312,7 @@ TEST(WritePipeline, AppendCursorCacheIsTransparent) {
               static_cast<std::streamsize>(replacement.size()));
   }
   ASSERT_TRUE(cached.append(day, more).has_value());
-  ASSERT_TRUE(reference.append(day, more).has_value());
+  ASSERT_TRUE(reference_append(more).has_value());
   EXPECT_EQ(day_bytes(cached, day), day_bytes(reference, day));
   EXPECT_TRUE(cached.fsck_day(day).healthy());
   EXPECT_EQ(cached.read_day(day).size(), 777 + more.size());
@@ -381,12 +386,9 @@ TEST(WritePipeline, EveryBlockDecodesAloneInReverseOrder) {
     const auto& b = idx.blocks()[i];
     ew::storage::ColumnScratch scratch;
     std::vector<FlowRecord> got;
-    std::uint64_t delivered = 0;
-    const auto collect = [&got](const FlowRecord& r) { got.push_back(r); };
-    ASSERT_EQ(ew::storage::decode_columnar_block(idx.body(b), scratch, nullptr, delivered,
-                                                 collect, b.record_count),
+    ASSERT_EQ(decode_block_rows(idx.body(b), scratch, nullptr, got, b.record_count),
               ew::storage::BlockDecodeStatus::kOk);
-    EXPECT_EQ(delivered, b.record_count);
+    EXPECT_EQ(got.size(), b.record_count);
     const auto want = std::span<const FlowRecord>{records}.subspan(i * per_block, b.record_count);
     EXPECT_EQ(encode_stream(got), encode_stream(want));
   }
@@ -410,8 +412,7 @@ TEST(WritePipeline, PrunedBlockBetweenKeptBlocksMatchesPostFilter) {
   }
   ASSERT_FALSE(oracle.empty());
 
-  std::vector<FlowRecord> got;
-  const auto scan = lake.scan_day(day, pred, [&](const FlowRecord& r) { got.push_back(r); });
+  const auto [got, scan] = scan_rows(lake, day, &pred);
   EXPECT_TRUE(scan.ok());
   EXPECT_EQ(scan.blocks_pruned, 1u);
   EXPECT_EQ(encode_stream(got), encode_stream(oracle));
@@ -454,8 +455,7 @@ void expect_damage_costs_exactly_one_block(bool shred) {
     }
   }
 
-  std::vector<FlowRecord> got;
-  const auto scan = lake.scan_day(day, [&](const FlowRecord& r) { got.push_back(r); });
+  const auto [got, scan] = scan_rows(lake, day);
   EXPECT_EQ(scan.errc, ew::core::Errc::kCorrupt);
   EXPECT_EQ(scan.blocks_skipped, 1u);
   EXPECT_EQ(got.size(), 9 * per_block);
@@ -468,9 +468,9 @@ void expect_damage_costs_exactly_one_block(bool shred) {
   const auto after = lake.fsck_day(day);
   EXPECT_TRUE(after.healthy());
   EXPECT_EQ(after.records_ok, 9 * per_block);
-  std::vector<FlowRecord> reread;
-  EXPECT_TRUE(lake.scan_day(day, [&](const FlowRecord& r) { reread.push_back(r); }).ok());
-  EXPECT_EQ(encode_stream(reread), encode_stream(survivors));
+  const auto reread = scan_rows(lake, day);
+  EXPECT_TRUE(reread.scan.ok());
+  EXPECT_EQ(encode_stream(reread.rows), encode_stream(survivors));
 }
 
 }  // namespace
