@@ -3,12 +3,10 @@
 // machine-readable fragment for BENCH_pipeline.json:
 //
 //   - flow-table churn: the packet→flow resolution loop (orientation-aware
-//     find + insert + expiry erase) on the open-addressing FlatHashMap vs
-//     the same loop on std::unordered_map with the old two-probe lookup;
+//     find + insert + expiry erase) on the open-addressing FlatHashMap;
 //   - domain classification: the compiled rule matcher (interned exact map,
-//     reversed-label trie, regex literal prefilter) vs an in-bench legacy
-//     reference (allocating normalize, per-boundary suffix probes, no
-//     regex prefilter) over an identical rule set and domain corpus;
+//     reversed-label trie, regex literal prefilter) over a Table 1-shaped
+//     rule set and domain corpus;
 //   - frame decode throughput (headers parsed in place);
 //   - the end-to-end serial probe, the number the 2x acceptance gate reads.
 //
@@ -16,10 +14,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/flat_hash_map.hpp"
@@ -27,7 +23,6 @@
 #include "flow/table.hpp"
 #include "net/packet.hpp"
 #include "probe/probe.hpp"
-#include "services/regex.hpp"
 #include "services/rules.hpp"
 #include "synth/generator.hpp"
 #include "synth/packets.hpp"
@@ -92,81 +87,21 @@ struct Sample {
   std::string name;
   double seconds = 0;
   double items_per_sec = 0;
-  double speedup = 1.0;  ///< vs this sample's in-bench reference (1.0 = none).
 };
 
 void append_json(std::string& out, const Sample& s) {
   char buf[224];
   std::snprintf(buf, sizeof buf,
-                "    {\"name\": \"%s\", \"seconds\": %.4f, \"items_per_sec\": %.0f, "
-                "\"speedup\": %.2f}",
-                s.name.c_str(), s.seconds, s.items_per_sec, s.speedup);
+                "    {\"name\": \"%s\", \"seconds\": %.4f, \"items_per_sec\": %.0f}",
+                s.name.c_str(), s.seconds, s.items_per_sec);
   if (!out.empty()) out += ",\n";
   out += buf;
 }
 
 // ---------------------------------------------------------------- rule sets
 
-/// Pre-overhaul rule matcher, reimplemented here as the comparison
-/// baseline: allocating lowercase normalize, std::unordered_map exact
-/// probe, one full-string map probe per suffix boundary, regexes tried
-/// without a literal prefilter.
-class LegacyRuleEngine {
- public:
-  void add_exact(std::string_view domain, std::string_view service) {
-    exact_[normalize(domain)] = std::string(service);
-  }
-  void add_suffix(std::string_view suffix, std::string_view service) {
-    suffix_[normalize(suffix)] = std::string(service);
-  }
-  bool add_regex(std::string_view pattern, std::string_view service) {
-    auto re = ew::services::Regex::compile(pattern);
-    if (!re) return false;
-    regex_.push_back({std::move(*re), std::string(service)});
-    return true;
-  }
-
-  [[nodiscard]] std::optional<std::string_view> classify(std::string_view domain) const {
-    const std::string name = normalize(domain);
-    if (const auto it = exact_.find(name); it != exact_.end()) return it->second;
-    // Longest matching suffix: probe every label boundary, left to right.
-    for (std::size_t pos = 0; pos < name.size();) {
-      if (const auto it = suffix_.find(name.substr(pos)); it != suffix_.end()) {
-        return it->second;
-      }
-      const auto dot = name.find('.', pos);
-      if (dot == std::string::npos) break;
-      pos = dot + 1;
-    }
-    for (const auto& rule : regex_) {
-      if (rule.re.search(name)) return rule.service;
-    }
-    return std::nullopt;
-  }
-
- private:
-  static std::string normalize(std::string_view domain) {
-    std::string out(domain);
-    for (char& c : out) {
-      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-    }
-    if (!out.empty() && out.back() == '.') out.pop_back();
-    return out;
-  }
-
-  struct RegexRule {
-    ew::services::Regex re;
-    std::string service;
-  };
-  std::unordered_map<std::string, std::string> exact_;
-  std::unordered_map<std::string, std::string> suffix_;
-  std::vector<RegexRule> regex_;
-};
-
-/// Feed the same representative rule base (the shape of the paper's
-/// Table 1) to any engine with add_exact/add_suffix/add_regex.
-template <typename Engine>
-void load_rules(Engine& e) {
+/// A representative rule base (the shape of the paper's Table 1).
+void load_rules(ew::services::RuleEngine& e) {
   e.add_exact("facebook.com", "Facebook");
   e.add_exact("netflix.com", "Netflix");
   e.add_exact("google.com", "Google");
@@ -255,57 +190,22 @@ int main(int argc, char** argv) {
     }
     asm volatile("" ::"r"(acc));
   });
-  const double unordered_s = best_seconds(repeats, [&] {
-    std::unordered_map<ew::core::FiveTuple, std::uint64_t, ew::core::FiveTupleHash> m;
-    std::uint64_t n = 0, acc = 0;
-    for (const auto& p : packets) {
-      const auto t = p.five_tuple();
-      auto it = m.find(t);
-      if (it == m.end()) it = m.find(t.reversed());
-      if (it == m.end()) it = m.try_emplace(t, 0).first;
-      acc += ++it->second;
-      if (++n % 64 == 0) m.erase(it);
-    }
-    asm volatile("" ::"r"(acc));
-  });
-  append_json(samples, {"flow_table_unordered_map", unordered_s,
-                        static_cast<double>(packets.size()) / unordered_s, 1.0});
   append_json(samples, {"flow_table_flat_map", flat_s,
-                        static_cast<double>(packets.size()) / flat_s, unordered_s / flat_s});
-  std::printf("  table churn: flat %.0f ops/s vs unordered %.0f ops/s (%.2fx)\n",
-              packets.size() / flat_s, packets.size() / unordered_s, unordered_s / flat_s);
+                        static_cast<double>(packets.size()) / flat_s});
+  std::printf("  table churn: flat %.0f ops/s\n", packets.size() / flat_s);
 
   // ------------------------------------------------------- classification
   const auto domains = make_domains(50'000);
   ew::services::RuleEngine compiled;
-  LegacyRuleEngine legacy;
   load_rules(compiled);
-  load_rules(legacy);
-  for (const auto& d : domains) {  // engines must agree before we time them
-    const auto a = compiled.classify(d);
-    const auto b = legacy.classify(d);
-    if (a.has_value() != b.has_value() || (a && *a != *b)) {
-      std::fprintf(stderr, "engine mismatch on %s\n", d.c_str());
-      return 1;
-    }
-  }
   const double compiled_s = best_seconds(repeats, [&] {
     std::size_t hits = 0;
     for (const auto& d : domains) hits += compiled.classify(d).has_value();
     asm volatile("" ::"r"(hits));
   });
-  const double legacy_s = best_seconds(repeats, [&] {
-    std::size_t hits = 0;
-    for (const auto& d : domains) hits += legacy.classify(d).has_value();
-    asm volatile("" ::"r"(hits));
-  });
-  append_json(samples, {"classify_legacy", legacy_s,
-                        static_cast<double>(domains.size()) / legacy_s, 1.0});
   append_json(samples, {"classify_compiled", compiled_s,
-                        static_cast<double>(domains.size()) / compiled_s,
-                        legacy_s / compiled_s});
-  std::printf("  classify: compiled %.0f/s vs legacy %.0f/s (%.2fx)\n",
-              domains.size() / compiled_s, domains.size() / legacy_s, legacy_s / compiled_s);
+                        static_cast<double>(domains.size()) / compiled_s});
+  std::printf("  classify: compiled %.0f/s\n", domains.size() / compiled_s);
 
   // --------------------------------------------------------------- decode
   const double decode_s = best_seconds(repeats, [&] {
@@ -316,7 +216,7 @@ int main(int argc, char** argv) {
     asm volatile("" ::"r"(acc));
   });
   append_json(samples, {"decode", decode_s,
-                        static_cast<double>(frames.size()) / decode_s, 1.0});
+                        static_cast<double>(frames.size()) / decode_s});
   std::printf("  decode: %.0f frames/s\n", frames.size() / decode_s);
 
   // --------------------------------------------------- end-to-end serial
@@ -328,7 +228,7 @@ int main(int argc, char** argv) {
     asm volatile("" ::"r"(n));
   });
   append_json(samples, {"probe_serial", probe_s,
-                        static_cast<double>(frames.size()) / probe_s, 1.0});
+                        static_cast<double>(frames.size()) / probe_s});
   std::printf("  probe serial: %.0f frames/s\n", frames.size() / probe_s);
 
   std::string json = "{\n  \"bench\": \"probe_hotpath\",\n";

@@ -89,7 +89,7 @@ void BM_ShardedProbeIngest(benchmark::State& state) {
     ew::probe::ShardedProbeConfig cfg;
     cfg.shards = static_cast<std::size_t>(state.range(0));
     ew::probe::ShardedProbe probe{cfg};
-    for (const auto& frame : frames) probe.ingest(frame);
+    for (const auto& frame : frames) probe.ingest(ew::net::Frame(frame));
     records += probe.finish().size();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(frames.size()));

@@ -1,8 +1,8 @@
 #include "net/pcap.hpp"
 
-#include <cstring>
 #include <fstream>
-#include <vector>
+
+#include "core/mapped_file.hpp"
 
 namespace edgewatch::net {
 
@@ -25,61 +25,9 @@ void put16(std::ofstream& out, std::uint16_t v) {
   out.write(b, 2);
 }
 
-constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 constexpr std::size_t kGlobalHeaderBytes = 24;
 constexpr std::size_t kRecordHeaderBytes = 16;
 constexpr std::uint32_t kAbsurdLength = 256 * 1024 * 1024;
-
-/// Reads a file through one reusable block buffer, one read() per MiB.
-/// Record headers are decoded in place and frame bodies copied out of it,
-/// so a body is never zero-filled before it is read.
-class BlockReader {
- public:
-  explicit BlockReader(std::ifstream& in) : in_(in), buf_(kBlockBytes) {}
-
-  /// Make at least `n` (<= kBlockBytes) bytes available; false when the
-  /// file ends first (available() then says how many there are).
-  bool ensure(std::size_t n) {
-    if (available() >= n) return true;
-    std::memmove(buf_.data(), buf_.data() + pos_, available());
-    end_ = available();
-    pos_ = 0;
-    if (in_) {
-      in_.read(reinterpret_cast<char*>(buf_.data() + end_),
-               static_cast<std::streamsize>(buf_.size() - end_));
-      end_ += static_cast<std::size_t>(in_.gcount());
-    }
-    return available() >= n;
-  }
-  [[nodiscard]] std::size_t available() const noexcept { return end_ - pos_; }
-  [[nodiscard]] const unsigned char* data() const noexcept { return buf_.data() + pos_; }
-  void skip(std::size_t n) noexcept { pos_ += n; }
-
-  /// Replace `out` with the next `n` bytes; false when the file ends first.
-  bool read_into(std::vector<std::byte>& out, std::size_t n) {
-    if (n <= buf_.size() && ensure(n)) {
-      const auto* p = reinterpret_cast<const std::byte*>(data());
-      out.assign(p, p + n);
-      skip(n);
-      return true;
-    }
-    if (n <= buf_.size()) return false;  // the file ended inside the record
-    // Larger than a block: take what is buffered, read the rest directly.
-    const std::size_t have = available();
-    out.resize(n);
-    std::memcpy(out.data(), data(), have);
-    pos_ = end_ = 0;
-    in_.read(reinterpret_cast<char*>(out.data() + have),
-             static_cast<std::streamsize>(n - have));
-    return static_cast<std::size_t>(in_.gcount()) == n - have;
-  }
-
- private:
-  std::ifstream& in_;
-  std::vector<unsigned char> buf_;
-  std::size_t pos_ = 0;
-  std::size_t end_ = 0;
-};
 
 std::uint32_t load32(const unsigned char* b, bool swapped) noexcept {
   return swapped ? (std::uint32_t{b[0]} << 24) | (std::uint32_t{b[1]} << 16) |
@@ -120,12 +68,13 @@ std::uint64_t write_pcap(const std::filesystem::path& path, const Trace& trace,
 
 core::Result<PcapStats> read_pcap(const std::filesystem::path& path,
                                   const std::function<void(Frame&&)>& fn) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return core::Errc::kIoError;
-  BlockReader r(in);
-  r.ensure(kGlobalHeaderBytes);
-  if (r.available() < 4) return core::Errc::kTruncated;
-  const std::uint32_t magic = load32(r.data(), false);
+  // An absent file is an I/O error here, as it always was for this reader.
+  const auto file = core::MappedFile::open(path);
+  if (!file) return core::Errc::kIoError;
+  const auto* const bytes = reinterpret_cast<const unsigned char*>(file->bytes().data());
+  const std::size_t size = file->size();
+  if (size < 4) return core::Errc::kTruncated;
+  const std::uint32_t magic = load32(bytes, false);
   bool swapped = false;
   bool nanoseconds = false;
   if (magic == kMagicUsecBE) {
@@ -138,28 +87,32 @@ core::Result<PcapStats> read_pcap(const std::filesystem::path& path,
   } else if (magic != kMagicUsecLE) {
     return core::Errc::kBadMagic;
   }
-  if (r.available() < kGlobalHeaderBytes) return core::Errc::kTruncated;
+  if (size < kGlobalHeaderBytes) return core::Errc::kTruncated;
   // Bytes 4..15 (version, thiszone, sigfigs) carry nothing we use.
-  const std::uint32_t snaplen = load32(r.data() + 16, swapped);
-  const std::uint32_t linktype = load32(r.data() + 20, swapped);
-  r.skip(kGlobalHeaderBytes);
+  const std::uint32_t snaplen = load32(bytes + 16, swapped);
+  const std::uint32_t linktype = load32(bytes + 20, swapped);
   if (linktype != kLinktypeEthernet) return core::Errc::kUnsupported;
   // No capture tool writes snaplen 0: the header bytes cannot be trusted.
   if (snaplen == 0) return core::Errc::kCorrupt;
 
   PcapStats stats;
   stats.nanosecond_timestamps = nanoseconds;
+  // One frame for the whole file, refilled in place (see the header).
+  Frame frame;
+  std::size_t pos = kGlobalHeaderBytes;
   // A short record header is a clean EOF (or a cut-off last record).
-  while (r.ensure(kRecordHeaderBytes)) {
-    const unsigned char* h = r.data();
+  while (size - pos >= kRecordHeaderBytes) {
+    const unsigned char* h = bytes + pos;
     const std::uint32_t sec = load32(h, swapped);
     const std::uint32_t frac = load32(h + 4, swapped);
     const std::uint32_t incl = load32(h + 8, swapped);
     const std::uint32_t orig = load32(h + 12, swapped);
     if (incl > kAbsurdLength) break;  // absurd length: corrupt file
-    r.skip(kRecordHeaderBytes);
-    Frame frame;
-    if (!r.read_into(frame.data, incl)) break;  // truncated final record
+    pos += kRecordHeaderBytes;
+    if (size - pos < incl) break;  // truncated final record
+    const auto* body = reinterpret_cast<const std::byte*>(bytes + pos);
+    frame.data.assign(body, body + incl);
+    pos += incl;
     const std::int64_t micros =
         static_cast<std::int64_t>(sec) * 1'000'000 +
         (nanoseconds ? frac / 1000 : frac);

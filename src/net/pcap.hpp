@@ -31,17 +31,27 @@ struct PcapStats {
 std::uint64_t write_pcap(const std::filesystem::path& path, const Trace& trace,
                          std::uint32_t snaplen = 65535);
 
-/// Stream frames from a pcap file. Errors: kIoError (unopenable),
-/// kTruncated (global header cut short), kBadMagic, kUnsupported (non-
-/// Ethernet linktype), kCorrupt (snaplen == 0 — no capture tool writes
-/// that, so the header bytes cannot be trusted). A frame cut short
-/// mid-file ends the stream gracefully (counted frames are still
-/// reported). (Result's optional-like surface keeps `if (stats) ...
+/// Stream frames from a pcap file. Errors: kIoError (unopenable, absent
+/// included), kTruncated (global header cut short), kBadMagic,
+/// kUnsupported (non-Ethernet linktype), kCorrupt (snaplen == 0 — no
+/// capture tool writes that, so the header bytes cannot be trusted). A
+/// frame cut short mid-file ends the stream gracefully (counted frames are
+/// still reported). (Result's optional-like surface keeps `if (stats) ...
 /// stats->frames` call sites working.)
+///
+/// The file is read through a read-only mapping (core::MappedFile), and
+/// one Frame is handed to `fn` for every record. `fn` may move from it or
+/// swap its buffer for another (ShardedProbe::ingest does); the next record
+/// is copied into whatever buffer the frame holds afterwards, reusing its
+/// capacity. So a callback that does not move from the frame pays one
+/// memcpy per record and no allocation. The file size is fixed when the
+/// file is opened: bytes appended later are not read, and the file must not
+/// shrink while it is read, because the mapping would then fault (SIGBUS).
 core::Result<PcapStats> read_pcap(const std::filesystem::path& path,
                                   const std::function<void(Frame&&)>& fn);
 
-/// Convenience: whole file into a Trace. Same errors as read_pcap.
+/// Convenience: whole file into a Trace (every frame moved into it, so one
+/// allocation per frame). Same errors as read_pcap.
 core::Result<Trace> load_pcap(const std::filesystem::path& path);
 
 }  // namespace edgewatch::net

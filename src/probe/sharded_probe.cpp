@@ -111,7 +111,7 @@ bool ShardedProbe::has_room(Shard& shard) noexcept {
   return staged + (pushed - shard.started_seen) < capacity_;
 }
 
-void ShardedProbe::stage(Shard& shard, const net::Frame& frame) {
+void ShardedProbe::stage(Shard& shard, net::Frame& frame, bool copy) {
   if (!shard.staged) {
     if (auto recycled = shard.recycle.try_pop()) {
       shard.staged = std::move(*recycled);
@@ -127,7 +127,11 @@ void ShardedProbe::stage(Shard& shard, const net::Frame& frame) {
   burst.seqs[burst.size] = next_seq_++;
   net::Frame& slot = burst.frames[burst.size];
   slot.timestamp = frame.timestamp;
-  slot.data.assign(frame.data.begin(), frame.data.end());
+  if (copy) {
+    slot.data.assign(frame.data.begin(), frame.data.end());
+  } else {
+    slot.data.swap(frame.data);  // the caller gets the slot's recycled buffer
+  }
   if (++burst.size == burst_limit_) flush(shard, /*block=*/false);
 }
 
@@ -149,7 +153,7 @@ void ShardedProbe::flush_all() {
   for (auto& shard : shards_) flush(*shard, /*block=*/true);
 }
 
-void ShardedProbe::ingest(net::Frame frame) {
+void ShardedProbe::ingest(net::Frame&& frame) {
   if (finished_) return;
   ++feeder_frames_;
   if (config_.probe.sample_rate > 1 &&
@@ -168,7 +172,7 @@ void ShardedProbe::ingest(net::Frame frame) {
     auto recycled = shard.recycle.pop();
     if (recycled && !shard.staged) shard.staged = std::move(*recycled);
   }
-  stage(shard, frame);
+  stage(shard, frame, /*copy=*/false);
 }
 
 bool ShardedProbe::try_ingest(net::Frame& frame) {
@@ -180,7 +184,7 @@ bool ShardedProbe::try_ingest(net::Frame& frame) {
     if (!has_room(shard)) return false;
   }
   ++feeder_frames_;
-  stage(shard, frame);
+  stage(shard, frame, /*copy=*/true);
   return true;
 }
 

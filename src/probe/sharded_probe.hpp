@@ -4,13 +4,16 @@
 // address into N independent Probe shards — each with its own flow table,
 // DPI state and DN-Hunter cache — drained by one worker thread per shard.
 //
-// Handoff: the feeder copies each frame into a recycled buffer of its
-// shard's staging burst and hands the burst over with one SPSC push once it
-// holds kBurstFrames frames (fewer for small rings, see burst_limit_). The
-// worker handles the burst frame by frame in seq order, then returns it —
-// buffers and all — on a per-shard recycle ring. So a push (and the futex
-// wake it may pay) is amortised over a burst, and every frame buffer is
-// allocated and freed on the feeder thread, never freed across threads.
+// Handoff: ingest() swaps the caller's frame buffer with the recycled
+// buffer in the next slot of its shard's staging burst, and the feeder
+// hands the burst over with one SPSC push once it holds kBurstFrames frames
+// (fewer for small rings, see burst_limit_). The worker handles the burst
+// frame by frame in seq order, then returns it — buffers and all — on a
+// per-shard recycle ring. So a push (and the futex wake it may pay) is
+// amortised over a burst, and the buffers circulate caller → burst →
+// worker → recycle ring → caller: the feeder copies no frame, and no
+// buffer is freed across threads. try_ingest() copies instead, so a
+// refused frame stays with the caller for its retry.
 // queue_capacity stays denominated in frames: staged plus ringed frames of
 // a shard never exceed it. Staged bursts are flushed before every control
 // event, snapshot()/restore() barrier and finish(); abandon() drops them.
@@ -120,15 +123,21 @@ class ShardedProbe {
   ShardedProbe& operator=(const ShardedProbe&) = delete;
 
   /// Feed one captured frame (single feeder thread). Blocks while the
-  /// owning shard buffers queue_capacity() frames. The bytes are copied
-  /// into a recycled buffer, so `frame` is released on the caller's thread.
-  void ingest(net::Frame frame);
+  /// owning shard buffers queue_capacity() frames. Nothing is copied: the
+  /// frame's buffer is swapped with the recycled buffer of its burst slot,
+  /// so `frame` comes back holding a buffer some earlier frame used (empty
+  /// until the shard's first burst has been recycled; stale bytes after
+  /// that). Refill it and ingest it again — net::read_pcap does — and a
+  /// frame costs no allocation. A caller that still needs its frame passes
+  /// a copy: `ingest(net::Frame(f))`.
+  void ingest(net::Frame&& frame);
 
   /// Non-blocking ingest for overload-aware feeders: false when the owning
   /// shard buffers queue_capacity() frames (no sequence number is consumed
   /// — the caller may retry, reroute or shed it). The bytes are copied, so
-  /// `frame` is left intact either way. Accepted frames keep stream order
-  /// with frames staged by ingest().
+  /// `frame` is left intact either way: the supervisor retries the same
+  /// frame after a refusal. Accepted frames keep stream order with frames
+  /// staged by ingest().
   [[nodiscard]] bool try_ingest(net::Frame& frame);
 
   /// Control events ride the same rings as frames, so they take effect at
@@ -203,8 +212,9 @@ class ShardedProbe {
   };
 
   /// Up to burst_limit_ frames with their global seqs. Bursts circulate
-  /// feeder → ring → worker → recycle ring → feeder; the frame buffers keep
-  /// their capacity, so steady state allocates nothing.
+  /// feeder → ring → worker → recycle ring → feeder. ingest() trades slot
+  /// buffers for the caller's, so the set of buffers in circulation stays
+  /// fixed and steady state allocates nothing.
   struct Burst {
     std::size_t size = 0;
     std::vector<std::uint64_t> seqs;
@@ -252,7 +262,9 @@ class ShardedProbe {
   [[nodiscard]] std::size_t shard_of(const net::Frame& frame) const noexcept;
   /// Staged plus ringed frames of `shard` are below capacity_.
   [[nodiscard]] bool has_room(Shard& shard) noexcept;
-  void stage(Shard& shard, const net::Frame& frame);
+  /// Put `frame` in the next slot of the shard's staged burst: `copy` copies
+  /// its bytes, otherwise its buffer is swapped with the slot's.
+  void stage(Shard& shard, net::Frame& frame, bool copy);
   /// Hand the staged burst to the worker. `block` waits for a ring slot;
   /// otherwise a full ring leaves the burst staged.
   void flush(Shard& shard, bool block);

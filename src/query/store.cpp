@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "analytics/parallel.hpp"
+#include "core/mapped_file.hpp"
 #include "obs/obs.hpp"
 #include "storage/io.hpp"
 
@@ -77,7 +78,7 @@ std::filesystem::path RollupStore::rollup_path(core::CivilDate day, Dimension di
 bool RollupStore::fresh(core::CivilDate day, Dimension dim) const {
   const storage::FileIdentity source = lake_.day_identity(day);
   if (!source.exists()) return false;  // no lake day: nothing to be fresh against
-  auto mapped = storage::MappedFile::open(rollup_path(day, dim));
+  auto mapped = core::MappedFile::open(rollup_path(day, dim));
   if (!mapped) return false;
   // Full-mask decode so every section CRC is verified: "fresh" promises the
   // file is both current (identity matches the lake day) and intact, so a
@@ -169,7 +170,7 @@ BuildReport RollupStore::build(std::span<const core::CivilDate> days, core::Thre
 
 core::Result<DayRollup> RollupStore::load(core::CivilDate day, Dimension dim,
                                           std::uint32_t columns) const {
-  auto mapped = storage::MappedFile::open(rollup_path(day, dim));
+  auto mapped = core::MappedFile::open(rollup_path(day, dim));
   if (!mapped) return mapped.error();
   return decode_rollup(mapped->bytes(), columns);
 }

@@ -1,6 +1,6 @@
 #include "services/regex.hpp"
 
-#include <functional>
+#include "core/function_ref.hpp"
 
 namespace edgewatch::services {
 
@@ -166,14 +166,17 @@ std::optional<Regex> Regex::compile(std::string_view pattern) {
 /// Continuation-passing backtracking: `match_node(n, pos, cont)` succeeds
 /// if node `n` matches at `pos` and the continuation accepts the position
 /// after the match. Sequences chain continuations; alternation and greedy
-/// quantifiers backtrack by trying continuations in preference order.
+/// quantifiers backtrack by trying continuations in preference order. A
+/// continuation is a FunctionRef to a named lambda in the caller's frame,
+/// which outlives every call it is passed down to, so building one costs
+/// two words on the stack instead of a std::function.
 struct Regex::Matcher {
   std::string_view text;
   std::uint32_t budget = kStepBudget;
 
-  using Cont = std::function<bool(std::size_t)>;
+  using Cont = core::FunctionRef<bool(std::size_t)>;
 
-  bool match_node(const Node& node, std::size_t pos, const Cont& cont) {
+  bool match_node(const Node& node, std::size_t pos, Cont cont) {
     if (budget == 0) return false;
     --budget;
     switch (node.kind) {
@@ -195,9 +198,10 @@ struct Regex::Matcher {
         return false;
       case Kind::kStar:
         return match_star(*node.child, pos, cont);
-      case Kind::kPlus:
-        return match_node(*node.child, pos,
-                          [&](std::size_t p) { return match_star(*node.child, p, cont); });
+      case Kind::kPlus: {
+        const auto then_star = [&](std::size_t p) { return match_star(*node.child, p, cont); };
+        return match_node(*node.child, pos, then_star);
+      }
       case Kind::kOptional:
         if (match_node(*node.child, pos, cont)) return true;
         return cont(pos);
@@ -205,39 +209,39 @@ struct Regex::Matcher {
     return false;
   }
 
-  bool match_star(const Node& child, std::size_t pos, const Cont& cont) {
+  bool match_star(const Node& child, std::size_t pos, Cont cont) {
     // Greedy: one more repetition first, then the continuation. The
     // zero-width guard (p != pos) prevents infinite loops on e.g. (a?)*.
-    if (match_node(child, pos, [&](std::size_t p) {
-          return p != pos && match_star(child, p, cont);
-        })) {
-      return true;
-    }
+    const auto repeat = [&](std::size_t p) { return p != pos && match_star(child, p, cont); };
+    if (match_node(child, pos, repeat)) return true;
     return cont(pos);
   }
 
   bool match_seq(const std::vector<NodePtr>& seq, std::size_t idx, std::size_t pos,
-                 const Cont& cont) {
+                 Cont cont) {
     if (idx == seq.size()) return cont(pos);
-    return match_node(*seq[idx], pos,
-                      [&](std::size_t p) { return match_seq(seq, idx + 1, p, cont); });
+    const auto rest = [&](std::size_t p) { return match_seq(seq, idx + 1, p, cont); };
+    return match_node(*seq[idx], pos, rest);
   }
 };
 
 bool Regex::search(std::string_view text) const {
   Matcher m{text};
   const auto accept = [](std::size_t) { return true; };
-  for (std::size_t start = 0; start <= text.size(); ++start) {
+  // A sequence led by ^ can only match at offset 0. (A top-level
+  // alternation such as ^a|b is one kAlternate node and tries every start.)
+  const bool anchored = !root_.empty() && root_.front()->kind == Kind::kBeginAnchor;
+  const std::size_t last_start = anchored ? 0 : text.size();
+  for (std::size_t start = 0; start <= last_start; ++start) {
     if (m.match_seq(root_, 0, start, accept)) return true;
-    // Patterns starting with ^ can only match at 0; the anchor node makes
-    // later starts fail fast, so no special-casing is needed here.
   }
   return false;
 }
 
 bool Regex::full_match(std::string_view text) const {
   Matcher m{text};
-  return m.match_seq(root_, 0, 0, [&](std::size_t p) { return p == text.size(); });
+  const auto at_end = [&](std::size_t p) { return p == text.size(); };
+  return m.match_seq(root_, 0, 0, at_end);
 }
 
 }  // namespace edgewatch::services

@@ -51,34 +51,4 @@ class WritableFile {
 /// How DataLake obtains its write handles; tests swap in fault injectors.
 using FileFactory = std::function<std::unique_ptr<WritableFile>()>;
 
-/// Read-only memory map of a whole file. The read path of the rollup store
-/// (query::) maps each .ewr file and touches only the sections a query
-/// projects, so an untouched column never costs a page-in. Move-only; the
-/// mapping is released on destruction. Falls back to a heap read when mmap
-/// is unavailable for the file (e.g. some pseudo-filesystems).
-class MappedFile {
- public:
-  MappedFile() noexcept = default;
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-  ~MappedFile();
-
-  /// Map `path` read-only. kNotFound when absent, kIoError otherwise.
-  [[nodiscard]] static core::Result<MappedFile> open(const std::filesystem::path& path);
-
-  [[nodiscard]] std::span<const std::byte> bytes() const noexcept {
-    return {static_cast<const std::byte*>(data_), size_};
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
- private:
-  void reset() noexcept;
-
-  void* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool mapped_ = false;  ///< true: munmap on destroy; false: delete[] fallback.
-};
-
 }  // namespace edgewatch::storage

@@ -204,7 +204,7 @@ TEST(HotpathGolden, ShardedStreamMatchesPipelinedSerialForEveryShardCount) {
     scfg.shards = shards;
     scfg.queue_capacity = 64;
     ew::probe::ShardedProbe sp(scfg);
-    for (const auto& f : frames) sp.ingest(f);
+    for (const auto& f : frames) sp.ingest(ew::net::Frame(f));
     EXPECT_EQ(encode_stream(sp.finish()), expected) << "shards=" << shards;
     const auto c = sp.counters();
     EXPECT_EQ(c.records_exported, reference.counters.records_exported) << "shards=" << shards;

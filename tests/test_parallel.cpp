@@ -352,7 +352,7 @@ TEST(ShardedProbe, GoldenStreamIdenticalForEveryShardCount) {
     scfg.shards = shards;
     scfg.queue_capacity = 64;
     ew::probe::ShardedProbe sp(scfg);
-    for (const auto& f : frames) sp.ingest(f);  // copies keep `frames` reusable
+    for (const auto& f : frames) sp.ingest(ew::net::Frame(f));  // copies keep `frames` reusable
     const auto merged = sp.finish();
     EXPECT_EQ(encode_stream(merged), expected) << "shards=" << shards;
 
@@ -377,7 +377,7 @@ TEST(ShardedProbe, FeederSamplingMatchesSerialProbe) {
   scfg.probe = cfg;
   scfg.shards = 4;
   ew::probe::ShardedProbe sp(scfg);
-  for (const auto& f : frames) sp.ingest(f);
+  for (const auto& f : frames) sp.ingest(ew::net::Frame(f));
   EXPECT_EQ(encode_stream(sp.finish()), expected);
   const auto c = sp.counters();
   EXPECT_EQ(c.frames, serial_counters.frames);
@@ -400,7 +400,7 @@ TEST(ShardedProbe, ClassifierUpgradeAppliesAtSameStreamPosition) {
     if (i == flip_at) {
       sp.set_classifier_options({.report_spdy = false, .report_fbzero = false});
     }
-    sp.ingest(frames[i]);
+    sp.ingest(ew::net::Frame(frames[i]));
   }
   EXPECT_EQ(encode_stream(sp.finish()), expected);
 }
@@ -432,7 +432,7 @@ TEST(ShardedProbe, OutageWindowMatchesSerialProbe) {
   for (std::size_t i = 0; i < frames.size(); ++i) {
     if (i == off_at) sp.begin_outage();
     if (i == on_at) sp.end_outage();
-    sp.ingest(frames[i]);
+    sp.ingest(ew::net::Frame(frames[i]));
   }
   EXPECT_EQ(encode_stream(sp.finish()), encode_stream(serial_records));
   EXPECT_EQ(sp.counters().dropped_offline, probe.counters().dropped_offline);
@@ -477,7 +477,7 @@ TEST(ShardedProbeBurst, GoldenStreamIdenticalAtBurstBoundaries) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                      std::size_t{8}}) {
       ew::probe::ShardedProbe sp(shard_config(shards));
-      for (const auto& f : frames) sp.ingest(f);
+      for (const auto& f : frames) sp.ingest(ew::net::Frame(f));
       EXPECT_EQ(encode_stream(sp.finish()), expected) << "len=" << len << " shards=" << shards;
       EXPECT_EQ(sp.counters().frames, serial_counters.frames)
           << "len=" << len << " shards=" << shards;
@@ -513,7 +513,7 @@ TEST(ShardedProbeBurst, ControlEventsMidBurstMatchSerialProbe) {
       if (i == flip_at) sp.set_classifier_options({.report_spdy = false, .report_fbzero = false});
       if (i == off_at) sp.begin_outage();
       if (i == on_at) sp.end_outage();
-      sp.ingest(frames[i]);
+      sp.ingest(ew::net::Frame(frames[i]));
     }
     EXPECT_EQ(encode_stream(sp.finish()), expected) << "shards=" << shards;
     EXPECT_EQ(sp.counters().dropped_offline, serial.counters().dropped_offline)
@@ -533,10 +533,10 @@ TEST(ShardedProbeBurst, SnapshotRestoreMidBurstResumesIdentically) {
     // reorder the staged frames.
     {
       ew::probe::ShardedProbe sp(shard_config(shards));
-      for (std::size_t i = 0; i < cut; ++i) sp.ingest(frames[i]);
+      for (std::size_t i = 0; i < cut; ++i) sp.ingest(ew::net::Frame(frames[i]));
       auto snap = sp.snapshot();
       EXPECT_EQ(snap.next_seq, cut);
-      for (std::size_t i = cut; i < frames.size(); ++i) sp.ingest(frames[i]);
+      for (std::size_t i = cut; i < frames.size(); ++i) sp.ingest(ew::net::Frame(frames[i]));
       auto records = std::move(snap.records);
       for (auto& r : sp.finish()) records.push_back(std::move(r));
       sort_by_seq(records);
@@ -545,12 +545,12 @@ TEST(ShardedProbeBurst, SnapshotRestoreMidBurstResumesIdentically) {
     // Snapshot mid-burst, kill, restore into a fresh probe, replay the rest.
     {
       ew::probe::ShardedProbe first(shard_config(shards));
-      for (std::size_t i = 0; i < cut; ++i) first.ingest(frames[i]);
+      for (std::size_t i = 0; i < cut; ++i) first.ingest(ew::net::Frame(frames[i]));
       auto snap = first.snapshot();
       first.abandon();
       ew::probe::ShardedProbe second(shard_config(shards));
       ASSERT_TRUE(second.restore(snap.shard_state, snap.next_seq));
-      for (std::size_t i = cut; i < frames.size(); ++i) second.ingest(frames[i]);
+      for (std::size_t i = cut; i < frames.size(); ++i) second.ingest(ew::net::Frame(frames[i]));
       auto records = std::move(snap.records);
       for (auto& r : second.finish()) records.push_back(std::move(r));
       sort_by_seq(records);
@@ -567,7 +567,7 @@ TEST(ShardedProbeBurst, AbandonDiscardsStagedFrames) {
     auto scfg = shard_config(1);
     scfg.frame_inspector = [&seen](std::uint64_t, const ew::net::Frame&) { ++seen; };
     ew::probe::ShardedProbe sp(scfg);
-    for (std::size_t i = 0; i < count; ++i) sp.ingest(frames[i]);
+    for (std::size_t i = 0; i < count; ++i) sp.ingest(ew::net::Frame(frames[i]));
     sp.abandon();
     // Only whole bursts ever reached the worker; the staged tail died with
     // the "process".
@@ -593,7 +593,7 @@ TEST(ShardedProbeBurst, TryIngestKeepsStreamOrderWithStagedFrames) {
         auto frame = frames[i];
         while (!sp.try_ingest(frame)) std::this_thread::yield();
       } else {
-        sp.ingest(frames[i]);
+        sp.ingest(ew::net::Frame(frames[i]));
       }
     }
     EXPECT_EQ(encode_stream(sp.finish()), expected) << "shards=" << shards;
@@ -664,7 +664,7 @@ TEST(ShardedProbeBurst, BufferedFramesNeverExceedQueueCapacity) {
     std::atomic<std::size_t> returned{0};
     std::thread feeder([&] {
       for (std::size_t i = 0; i < 4 * kCapacity; ++i) {
-        sp.ingest(frames[i]);
+        sp.ingest(ew::net::Frame(frames[i]));
         returned.fetch_add(1);
       }
     });
@@ -681,6 +681,64 @@ TEST(ShardedProbeBurst, BufferedFramesNeverExceedQueueCapacity) {
     EXPECT_EQ(returned.load(), 4 * kCapacity);
     EXPECT_FALSE(sp.finish().empty());
   }
+}
+
+// ingest(Frame&&) trades buffers instead of copying. Feeding it the way
+// read_pcap does — one frame, refilled in place after every call, so it
+// carries whatever recycled buffer it came back with — must give the same
+// bytes as handing over a fresh copy of every frame.
+TEST(ShardedProbeBurst, MovedFramesMatchExplicitCopies) {
+  const auto all = golden_workload();
+  ASSERT_GT(all.size(), 5 * kBurst);
+  for (const std::size_t len : {kBurst - 1, kBurst, kBurst + 1, 4 * kBurst, 4 * kBurst + 1,
+                                5 * kBurst - 1}) {
+    const std::vector<ew::net::Frame> frames(all.begin(),
+                                             all.begin() + static_cast<std::ptrdiff_t>(len));
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                     std::size_t{8}}) {
+      ew::probe::ShardedProbe copied(shard_config(shards));
+      for (const auto& f : frames) copied.ingest(ew::net::Frame(f));
+      const auto expected = encode_stream(copied.finish());
+
+      ew::probe::ShardedProbe moved(shard_config(shards));
+      ew::net::Frame frame;
+      for (const auto& f : frames) {
+        frame.timestamp = f.timestamp;
+        frame.data.assign(f.data.begin(), f.data.end());
+        moved.ingest(std::move(frame));
+      }
+      EXPECT_EQ(encode_stream(moved.finish()), expected) << "len=" << len << " shards=" << shards;
+    }
+  }
+}
+
+TEST(ShardedProbeBurst, IngestHandsBackRecycledBuffer) {
+  const auto frames = golden_workload();
+  ASSERT_GT(frames.size(), 2 * kBurst);
+  ew::probe::ShardedProbe sp(shard_config(1));
+  // One full burst goes to the worker; the barrier returns only after the
+  // worker has finished it, and the worker recycles a burst before it takes
+  // the next ring item.
+  for (std::size_t i = 0; i < kBurst; ++i) sp.ingest(ew::net::Frame(frames[i]));
+  auto snap = sp.snapshot();
+
+  // The next frame lands in slot 0 of the recycled burst and comes back
+  // holding that slot's buffer: the one frame 0 travelled in.
+  ew::net::Frame frame = frames[kBurst];
+  sp.ingest(std::move(frame));
+  EXPECT_FALSE(frame.data.empty());
+  EXPECT_EQ(frame.data, frames[0].data);
+
+  // The returned frame is refilled and handed over again, to the end.
+  for (std::size_t i = kBurst + 1; i < frames.size(); ++i) {
+    frame.timestamp = frames[i].timestamp;
+    frame.data.assign(frames[i].data.begin(), frames[i].data.end());
+    sp.ingest(std::move(frame));
+  }
+  auto records = std::move(snap.records);
+  for (auto& r : sp.finish()) records.push_back(std::move(r));
+  sort_by_seq(records);
+  EXPECT_EQ(encode_stream(records), encode_stream(serial_reference(frames, {})));
 }
 
 // ------------------------------------------------- parallel stage-one

@@ -180,10 +180,10 @@ TEST(Pcap, TruncatedLastRecordEndsGracefully) {
   EXPECT_EQ(n, trace.size() - 1);
 }
 
-// The reader works through 1 MiB blocks: records straddle block
-// boundaries, and one record is larger than a whole block. All of them
-// must come back byte for byte, and a file cut inside the oversized record
-// must end the stream just before it.
+// Records of every size, one of them 1.5 MiB, must come back byte for byte
+// (the size mix once straddled the 1 MiB read blocks of an earlier reader),
+// and a file cut inside the oversized record must end the stream just
+// before it.
 TEST(Pcap, RecordsAcrossAndBeyondReadBlocksRoundTrip) {
   constexpr std::size_t kLarge = 1500;
   ew::net::Trace trace;
@@ -217,6 +217,74 @@ TEST(Pcap, RecordsAcrossAndBeyondReadBlocksRoundTrip) {
   ASSERT_TRUE(cut.has_value());
   EXPECT_EQ(cut->frames, kLarge);
   EXPECT_EQ(n, kLarge);
+}
+
+// read_pcap hands every record to the callback in one frame it refills in
+// place. Long and short records alternate (and one is empty), so a frame
+// that kept a long record's bytes past a short record would show here.
+namespace {
+
+ew::net::Trace long_short_trace() {
+  ew::net::Trace trace;
+  for (std::size_t i = 0; i < 40; ++i) {
+    ew::net::Frame f;
+    f.timestamp = ew::core::Timestamp{5'000'000 + static_cast<std::int64_t>(i)};
+    f.data.resize(i == 7 ? 0 : i % 2 == 0 ? 1400 + i : 1 + i % 5);
+    for (std::size_t b = 0; b < f.data.size(); ++b) {
+      f.data[b] = static_cast<std::byte>((b * 13 + i * 7) & 0xff);
+    }
+    trace.add(std::move(f));
+  }
+  return trace;
+}
+
+}  // namespace
+
+TEST(Pcap, UnmovedFrameSeesEachRecordsExactBytes) {
+  TempFile file;
+  const auto trace = long_short_trace();
+  ASSERT_GT(ew::net::write_pcap(file.path, trace), 0u);
+  std::size_t i = 0;
+  const auto stats = ew::net::read_pcap(file.path, [&](ew::net::Frame&& f) {
+    ASSERT_LT(i, trace.size());
+    EXPECT_EQ(f.timestamp, trace[i].timestamp) << i;
+    EXPECT_EQ(f.data, trace[i].data) << i;
+    ++i;
+  });
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->frames, trace.size());
+  EXPECT_EQ(i, trace.size());
+}
+
+TEST(Pcap, MovingEveryOtherFrameSeesExactBytes) {
+  TempFile file;
+  const auto trace = long_short_trace();
+  ASSERT_GT(ew::net::write_pcap(file.path, trace), 0u);
+  std::vector<ew::net::Frame> kept;
+  std::size_t i = 0;
+  const auto stats = ew::net::read_pcap(file.path, [&](ew::net::Frame&& f) {
+    ASSERT_LT(i, trace.size());
+    EXPECT_EQ(f.data, trace[i].data) << i;
+    if (i % 2 == 1) kept.push_back(std::move(f));
+    ++i;
+  });
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(i, trace.size());
+  ASSERT_EQ(kept.size(), trace.size() / 2);
+  for (std::size_t k = 0; k < kept.size(); ++k) {
+    EXPECT_EQ(kept[k].timestamp, trace[2 * k + 1].timestamp) << k;
+    EXPECT_EQ(kept[k].data, trace[2 * k + 1].data) << k;
+  }
+}
+
+// The reader maps the file, and the mapping reports an absent file as
+// kNotFound; read_pcap keeps reporting it as an I/O error.
+TEST(Pcap, MissingFileIsIoError) {
+  const fs::path missing = ew::test::unique_temp_path("ewpcap-missing");
+  ASSERT_FALSE(fs::exists(missing));
+  const auto stats = ew::net::read_pcap(missing, [](ew::net::Frame&&) {});
+  ASSERT_FALSE(stats.has_value());
+  EXPECT_EQ(stats.error(), ew::core::Errc::kIoError);
 }
 
 TEST(Pcap, ProbeConsumesPcapReplay) {

@@ -474,7 +474,7 @@ TEST(Supervisor, CalmRunIngestsEverythingAndMatchesShardedProbe) {
   scfg.shards = 2;
   scfg.queue_capacity = 4096;
   ew::probe::ShardedProbe reference{scfg};
-  for (const auto& f : frames) reference.ingest(f);
+  for (const auto& f : frames) reference.ingest(ew::net::Frame(f));
   const auto expected = reference.finish();
   ASSERT_FALSE(expected.empty());
 

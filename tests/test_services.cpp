@@ -33,6 +33,23 @@ TEST(Regex, AnchorsBindToEnds) {
   EXPECT_FALSE(re->search("x.video.google.com"));
 }
 
+// search() tries only offset 0 for a ^-led pattern: text that matches the
+// rest of the pattern later in the input must not count, and a top-level
+// alternation with one anchored branch still searches every offset.
+TEST(Regex, AnchoredPatternIgnoresLaterOccurrences) {
+  const auto re = Regex::compile("^fbstatic-[a-z]+\\.akamaihd");
+  ASSERT_TRUE(re.has_value());
+  EXPECT_TRUE(re->search("fbstatic-a.akamaihd.net"));
+  EXPECT_TRUE(re->search("fbstatic-a.akamaihd.fbstatic-b.akamaihd.net"));
+  EXPECT_FALSE(re->search("e1.fbstatic-a.akamaihd.net"));
+  EXPECT_FALSE(re->search("xfbstatic-a.akamaihd"));
+
+  const auto either = Regex::compile("^ab|cd");
+  ASSERT_TRUE(either.has_value());
+  EXPECT_TRUE(either->search("xxcd"));
+  EXPECT_FALSE(either->search("xxab"));
+}
+
 TEST(Regex, Table1FacebookPattern) {
   // The literal pattern printed in Table 1 (unescaped dot matches '.').
   const auto re = Regex::compile("^fbstatic-[a-z].akamaihd.net$");
